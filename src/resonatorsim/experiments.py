@@ -218,7 +218,7 @@ def sweep_fidelity_map_g2(
     With every mode damped at the same kappa the damped fidelity factorizes
     exactly into exp(-kappa t) times the unitary fidelity, so each map
     column costs one diagonalization; the equivalence with the
-    master-equation integrator is covered by tests.
+    master-equation propagator is covered by tests.
     """
     spec = spec if spec is not None else reference_spec(3)
     _require_n(spec, 3)
@@ -327,8 +327,8 @@ def sweep_werner(
     one curve per overlap angle theta (given in units of pi).
 
     Decay rates are taken from the spec; with no decay the density matrices
-    are advanced by exact diagonalization, otherwise by the master-equation
-    integrator.
+    are advanced by exact diagonalization, otherwise by the exact Liouvillian
+    propagator.
     """
     spec = spec if spec is not None else reference_spec(3)
     _require_n(spec, 3)

@@ -121,7 +121,7 @@ def shift_frame(h: np.ndarray, basis: FockBasis, omega_ref: float) -> np.ndarray
 
     For number-conserving dynamics this changes single-photon amplitudes only
     by a global phase while shrinking the spectral radius, which keeps
-    fixed-step integration cheap.
+    the matrix exponentials of the damped propagator cheap.
     """
     return h - omega_ref * total_number(basis)
 

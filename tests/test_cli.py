@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from resonatorsim import reference_spec, spec_to_dict
+from resonatorsim import dynamics, reference_spec, spec_to_dict
 from resonatorsim.cli import main
 
 
@@ -138,3 +138,12 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_lindblad_dimension_limit_exit_2(monkeypatch, capsys):
+    # a real basis above the limit needs n >= 31 resonators, and building it
+    # walks 2^32 occupation tuples, so the limit is lowered below the five
+    # states of n = 3 instead
+    monkeypatch.setattr(dynamics, "MAX_LINDBLAD_DIM", 4)
+    assert main(["evolve", "--n", "3", "--kappa-mhz", "0.5", "--out", "p.csv"]) == 2
+    assert "limit of 4" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Propagators: unitary route, master equation, and reduced amplitude ODE."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,11 +25,25 @@ from resonatorsim import (
     single_photon_populations,
     single_photon_populations_dm,
 )
+from resonatorsim.dynamics import MAX_LINDBLAD_DIM
 
 
 def _random_hermitian(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (m + m.conj().T)
+
+
+def _detuned_spec():
+    # three-resonator reference network with the second resonator detuned
+    spec = reference_spec(3)
+    return dataclasses.replace(
+        spec,
+        resonators=(
+            spec.resonators[0],
+            dataclasses.replace(spec.resonators[1], freq_ghz=5.7501),
+            spec.resonators[2],
+        ),
+    )
 
 
 def _random_density(rng, d):
@@ -98,8 +114,38 @@ def test_uniform_decay_factorizes():
     damped = evolve_lindblad(h, ops, rho0, grid)
     f_damped = fidelity_dm(damped.states, target)
     np.testing.assert_allclose(
-        f_damped, np.exp(-kappa * grid.times) * f_unitary, atol=1.0e-6
+        f_damped, np.exp(-kappa * grid.times) * f_unitary, rtol=0.0, atol=1.0e-12
     )
+
+
+def test_propagators_start_at_grid_t_start():
+    # every route takes its initial state at grid.t_start, so a grid that
+    # does not start at zero must give the same answer on all of them
+    rng = np.random.default_rng(7)
+    d = 4
+    h = _random_hermitian(rng, d)
+    psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi0 /= np.linalg.norm(psi0)
+    grid = TimeGrid(1.0, 2.0, 3)
+    uni = evolve_unitary(h, psi0, grid).states
+    closed = evolve_lindblad(h, [], np.outer(psi0, psi0.conj()), grid).states
+    np.testing.assert_allclose(
+        closed, np.einsum("ti,tj->tij", uni, uni.conj()), atol=1.0e-12
+    )
+
+    # restarting the reduced amplitudes mid-trajectory continues the same run
+    model = derive_dispersive(_detuned_spec())
+    c0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    full = integrate_amplitudes(model, c0, TimeGrid(0.0, 0.2, 9)).states
+    tail = integrate_amplitudes(model, full[4], TimeGrid(0.1, 0.2, 5)).states
+    np.testing.assert_allclose(tail, full[4:], atol=1.0e-12)
+
+
+def test_lindblad_dimension_limit():
+    d = MAX_LINDBLAD_DIM + 1
+    rho0 = np.eye(d, dtype=complex) / d
+    with pytest.raises(ValueError, match=f"limit of {MAX_LINDBLAD_DIM}"):
+        evolve_lindblad(np.zeros((d, d)), [], rho0, TimeGrid(0.0, 1.0, 2))
 
 
 def test_populations_invariant_under_frame_shift():
@@ -157,6 +203,10 @@ def test_trace_drift_raises():
     with pytest.raises((PropagationError, ValueError)):
         evolve_lindblad(h, [(-1.0, bad)], rho0, TimeGrid(0.0, 1.0, 3))
 
+    # a non-Hermitian "Hamiltonian" passes every input check but grows the trace
+    with pytest.raises(PropagationError, match="trace drifted"):
+        evolve_lindblad(1j * np.eye(d), [], rho0, TimeGrid(0.0, 1.0, 3))
+
 
 def test_reduced_amplitude_ode_matches_closed_form():
     # resonant homogeneous network: the reduced ODE must reproduce the
@@ -177,17 +227,7 @@ def test_reduced_amplitude_ode_matches_closed_form():
 def test_reduced_amplitude_ode_detuned_network():
     # detuned resonators: populations from the reduced ODE with oscillating
     # phases match the full model evolution
-    import dataclasses
-
-    spec = reference_spec(3)
-    spec = dataclasses.replace(
-        spec,
-        resonators=(
-            spec.resonators[0],
-            dataclasses.replace(spec.resonators[1], freq_ghz=5.7501),
-            spec.resonators[2],
-        ),
-    )
+    spec = _detuned_spec()
     model = derive_dispersive(spec)
     chi = float(model.chi[0, 2])
     c0 = np.array([1.0, 0.0, 0.0], dtype=complex)

@@ -100,7 +100,7 @@ def test_fidelity_sweep_kappa_zero_peak():
 
 def test_map_factorization_matches_master_equation():
     # the map computes exp(-kappa t) * unitary fidelity; cross-check one cell
-    # against the master-equation integrator
+    # against the master-equation propagator
     kappa = 0.10
     xs = [0.10, 0.22]
     res = sweep_fidelity_map_g2(g2_ratios=[0.8], chi_t_over_pi=xs, kappa_mhz=kappa)
@@ -133,7 +133,7 @@ def test_gm_sweep_infinite_ratio_is_baseline():
 
 
 def test_werner_routes_agree():
-    # exact-diagonalization path (kappa = 0) vs the master-equation integrator
+    # exact-diagonalization path (kappa = 0) vs the master-equation propagator
     res = sweep_werner(p_grid=[0.7], thetas_pi=[0.25])
     spec = reference_spec(3)
     model = derive_dispersive(spec)
