@@ -3,11 +3,12 @@ the reduced amplitude equations of the bus-eliminated model.
 
 Every generator here is constant in time, so each route is exact up to dense
 linear algebra: the unitary route diagonalizes the Hamiltonian, the Lindblad
-route exponentiates the vectorized Liouvillian once per grid spacing, and the
-reduced amplitudes are a unitary problem in a rotated frame.  All routes
-treat the initial state as the state at grid.t_start.  Trace (Lindblad) and
-norm (amplitudes) are conserved exactly by these generators, so each
-trajectory is checked for them afterwards.
+route exponentiates the vectorized Liouvillian over one grid spacing, once per
+distinct generator in the batch, and the reduced amplitudes are a unitary
+problem in a rotated frame.  All routes treat the initial state as the state
+at grid.t_start.  Trace (Lindblad) and norm (amplitudes) are conserved
+exactly by these generators, so each trajectory is checked for them
+afterwards.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def _check_conserved(name: str, values: np.ndarray, initial, times) -> None:
     their initial values by more than the tolerance, relative to their size."""
     drift = np.abs(values - initial)
     worst = float(np.max(drift))
-    if worst > _CONSERVATION_TOL * (1.0 + float(np.max(np.abs(initial)))):
+    # written so that a NaN drift fails the check too
+    if not worst <= _CONSERVATION_TOL * (1.0 + float(np.max(np.abs(initial)))):
         k = np.unravel_index(np.argmax(drift), drift.shape)[0]
         raise PropagationError(f"{name} drifted by {worst:.3e} at t = {times[k]:.6g} us")
 
@@ -83,6 +85,8 @@ def evolve_unitary(h: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> Trajector
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (h.shape[0],):
         raise ValueError(f"state shape {psi0.shape} does not match dim {h.shape[0]}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("Hamiltonian entries must be finite")
     evals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
     c0 = vecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(grid.times - grid.t_start, evals))
@@ -100,8 +104,10 @@ def evolve_lindblad_batch(
 
     Each entry's Liouvillian acts on row-major vec(rho) as
     kron(D, I) + kron(I, conj(D)) + sum_k kappa_k kron(xi_k, conj(xi_k)) with
-    D = -i h - sum_k kappa_k xi_k^dag xi_k / 2; it is exponentiated once over
-    the grid spacing and applied point by point.
+    D = -i h - sum_k kappa_k xi_k^dag xi_k / 2.  Entries with the same h and
+    the same rates share one generator: it is exponentiated once per
+    distinct generator over the grid spacing, and the stacked vec(rho) of
+    its entries is stepped with one matrix product per grid point.
 
     Parameters
     ----------
@@ -135,24 +141,34 @@ def evolve_lindblad_batch(
         if op.shape != (dim, dim):
             raise ValueError(f"collapse operator shape {op.shape} does not match dim {dim}")
         rate = np.broadcast_to(np.asarray(rate, dtype=float), (nbatch,))
+        if not np.all(np.isfinite(rate)):
+            raise ValueError("collapse rates must be finite")
         if np.any(rate < 0):
             raise ValueError("collapse rates must be nonnegative")
         drift = drift - 0.5 * rate[:, None, None] * (op.conj().T @ op)[None, :, :]
         jumps.append((rate, op))
 
-    # one Liouvillian at a time: stacking all B of them into one expm call
-    # multiplies the peak memory of the widest batches
+    # entries with equal drift and equal rates have the same Liouvillian
+    groups: dict[bytes, list[int]] = {}
+    for b in range(nbatch):
+        key = drift[b].tobytes() + np.array([rate[b] for rate, _ in jumps]).tobytes()
+        groups.setdefault(key, []).append(b)
+
     eye = np.eye(dim)
     dt = grid.span / (grid.points - 1)
     out = np.empty((grid.points,) + rho0.shape, dtype=complex)
-    out[0] = rho0
-    for b in range(nbatch):
+    for members in groups.values():
+        b = members[0]
         gen = np.kron(drift[b], eye) + np.kron(eye, drift[b].conj())
         for rate, op in jumps:
             gen += rate[b] * np.kron(op, op.conj())
-        step = scipy.linalg.expm(gen * dt)
+        step_t = scipy.linalg.expm(gen * dt).T
+        # rows are the members' vec(rho); row @ step^T = (step @ vec)^T
+        block = np.empty((grid.points, len(members), dim * dim), dtype=complex)
+        block[0] = rho0[members].reshape(len(members), -1)
         for k in range(1, grid.points):
-            out[k, b] = (step @ out[k - 1, b].reshape(-1)).reshape(dim, dim)
+            np.matmul(block[k - 1], step_t, out=block[k])
+        out[:, members] = block.reshape(grid.points, len(members), dim, dim)
     out = 0.5 * (out + out.conj().swapaxes(-1, -2))
 
     trace0 = np.einsum("bii->b", rho0).real

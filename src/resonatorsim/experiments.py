@@ -18,7 +18,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -249,7 +248,7 @@ def sweep_fidelity_map_g2(
         states = (np.exp(-1j * np.outer(times, evals)) * c0) @ vecs.T
         return fidelity_pure_target(states, target)
 
-    f_unitary = _map_ordered(unitary_column, [float(r) for r in ratios])
+    f_unitary = [unitary_column(float(r)) for r in ratios]
     envelope = np.exp(-kappa_mhz * times)
     columns: dict = {"chi_t_over_pi": x}
     for r, col in zip(ratios, f_unitary):
@@ -328,7 +327,7 @@ def sweep_werner(
 
     Decay rates are taken from the spec; with no decay the density matrices
     are advanced by exact diagonalization, otherwise by the exact Liouvillian
-    propagator.
+    propagator, which exponentiates the one generator all entries share once.
     """
     spec = spec if spec is not None else reference_spec(3)
     _require_n(spec, 3)
@@ -557,24 +556,3 @@ def _write_atomic(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("RESONATORSIM_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(
-                f"RESONATORSIM_THREADS must be a positive integer, got {raw!r}"
-            ) from None
-    return os.cpu_count() or 1
-
-
-def _map_ordered(fn, items: list) -> list:
-    """Apply fn to each item, possibly concurrently, preserving order."""
-    workers = min(_worker_count(), len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

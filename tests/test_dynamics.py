@@ -25,6 +25,7 @@ from resonatorsim import (
     single_photon_populations,
     single_photon_populations_dm,
 )
+from resonatorsim import dynamics
 from resonatorsim.dynamics import MAX_LINDBLAD_DIM
 
 
@@ -177,6 +178,64 @@ def test_lindblad_batch_matches_single_runs():
     for b in range(3):
         single = evolve_lindblad(h[b], [(float(rates[b]), op)], rho0[b], grid)
         np.testing.assert_allclose(batch.states[:, b], single.states, atol=1.0e-9)
+
+
+def test_lindblad_batch_one_expm_per_distinct_generator(monkeypatch):
+    calls = []
+    expm = dynamics.scipy.linalg.expm
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(dynamics.scipy.linalg, "expm", counting_expm)
+    rng = np.random.default_rng(17)
+    d = 4
+    h = _random_hermitian(rng, d)
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    dephase = np.diag(np.arange(d, dtype=float))
+    grid = TimeGrid(0.0, 1.5, 5)
+
+    # two distinct rate values, interleaved: each entry must come back in
+    # its own row, not in the row of another member of its group
+    rates = np.array([0.2, 0.9, 0.2, 0.9])
+    rho0 = np.stack([_random_density(rng, d) for _ in range(4)])
+    batch = evolve_lindblad_batch(h, [(rates, op), (0.4, dephase)], rho0, grid)
+    assert len(calls) == 2
+    for b in range(4):
+        single = evolve_lindblad(h, [(float(rates[b]), op), (0.4, dephase)], rho0[b], grid)
+        np.testing.assert_allclose(batch.states[:, b], single.states, rtol=0, atol=1.0e-12)
+
+    # per-entry Hamiltonians group by equality as well
+    calls.clear()
+    h_other = _random_hermitian(rng, d)
+    evolve_lindblad_batch(np.stack([h, h_other, h]), [(0.3, op)], rho0[:3], grid)
+    assert len(calls) == 2
+
+    calls.clear()
+    rho8 = np.stack([_random_density(rng, d) for _ in range(8)])
+    evolve_lindblad_batch(h, [(0.5, op)], rho8, grid)
+    assert len(calls) == 1
+
+
+def test_non_finite_inputs_rejected():
+    rng = np.random.default_rng(23)
+    d = 3
+    h = _random_hermitian(rng, d)
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho0 = _random_density(rng, d)
+    grid = TimeGrid(0.0, 1.0, 3)
+    h_nan = h.copy()
+    h_nan[0, 1] = np.nan
+    with pytest.raises(PropagationError, match="trace drifted by nan"):
+        evolve_lindblad(h_nan, [(0.2, op)], rho0, grid)
+    with pytest.raises(ValueError, match="finite"):
+        evolve_unitary(h_nan, np.eye(d)[0], grid)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_lindblad(h, [(bad, op)], rho0, grid)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_lindblad_batch(h, [(np.array([0.1, bad]), op)], np.stack([rho0, rho0]), grid)
 
 
 def test_lindblad_preserves_hermiticity_and_positivity():

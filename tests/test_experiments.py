@@ -28,7 +28,7 @@ from resonatorsim import (
     sweep_werner,
     write_result,
 )
-from resonatorsim.experiments import _map_ordered, _with_coupling, _worker_count
+from resonatorsim.experiments import _with_coupling
 
 
 def test_reference_spec_values():
@@ -207,21 +207,3 @@ def test_write_result_twelve_digits(tmp_path):
     write_result(res, path)
     body = path.read_text(encoding="utf-8").splitlines()[1]
     assert body == "0.333333333333,inf"
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("RESONATORSIM_THREADS", "2")
-    assert _worker_count() == 2
-    monkeypatch.setenv("RESONATORSIM_THREADS", "zero?")
-    with pytest.raises(ValueError):
-        _worker_count()
-    monkeypatch.delenv("RESONATORSIM_THREADS")
-    assert _worker_count() >= 1
-
-
-def test_map_ordered_preserves_order(monkeypatch):
-    monkeypatch.setenv("RESONATORSIM_THREADS", "4")
-    items = list(range(25))
-    assert _map_ordered(lambda v: v * v, items) == [v * v for v in items]
-    monkeypatch.setenv("RESONATORSIM_THREADS", "1")
-    assert _map_ordered(lambda v: v + 1, items) == [v + 1 for v in items]
