@@ -4,16 +4,14 @@ With one photon shared by n resonators that all hop into each other at a
 common rate chi, the amplitudes depend on time only through the phase
 chi*t.  Starting from the photon in resonator 1, the amplitude stays
 symmetric across resonators 2..n, so the whole trajectory is two complex
-numbers: the source amplitude and the common target amplitude.
+numbers: the source amplitude and the common target amplitude.  The
+equal-population instants, where the state is of W form up to local
+phases, are closed-form too: cos(n chi t) = 1 - n/2.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-
-#: population gap below which a local minimum is probed as a tangent crossing
-_TANGENT_GATE = 1.0e-3
 
 
 def amplitudes_homogeneous(n: int, chi_t: float) -> np.ndarray:
@@ -72,58 +70,29 @@ def population_gap(n: int, chi_t) -> np.ndarray:
     return p[..., 0] - p[..., 1]
 
 
-def find_w_crossings(
-    n: int,
-    chi_t_max: float,
-    tol: float = 1.0e-6,
-    grid_points: int = 2000,
-) -> np.ndarray:
+def find_w_crossings(n: int, chi_t_max: float, tol: float = 1.0e-6) -> np.ndarray:
     """All phases in (0, chi_t_max] where every resonator is equally populated.
 
-    Scans the population gap on a uniform grid, bisects each sign change,
-    and separately refines near-zero local minima to capture roots where the
-    gap touches zero without crossing (which happens for n = 4).  Every
-    returned root is certified by |gap| <= 10 * tol; for n >= 5 the gap is
-    bounded away from zero and the result is empty.
+    The population gap is (n^2 - 2n + 2n cos(n chi t)) / n^2, so the roots
+    are the exact phases chi t = (+-arccos(1 - n/2) + 2 pi k) / n: the 2 pi/9
+    family for n = 3, tangent (double) roots at pi/4 + k pi/2 for n = 4, and
+    none for n >= 5, where the gap stays at or above (n - 4)/n.  tol must be
+    positive but does not affect the result.
     """
     if n < 2:
         raise ValueError(f"need at least 2 resonators, got n={n}")
+    if not np.isfinite(chi_t_max):
+        raise ValueError(f"chi_t_max must be finite, got {chi_t_max}")
     if chi_t_max <= 0:
         raise ValueError(f"chi_t_max must be positive, got {chi_t_max}")
-    if grid_points < 16:
-        raise ValueError(f"grid_points must be >= 16, got {grid_points}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-
-    xs = np.linspace(0.0, chi_t_max, grid_points)
-    gap = population_gap(n, xs)
-    f = lambda x: float(population_gap(n, x))
-
-    roots: list[float] = []
-    sign = np.sign(gap)
-    for k in range(len(xs) - 1):
-        if sign[k] == 0.0 and xs[k] > 0.0:
-            roots.append(float(xs[k]))
-        elif sign[k] * sign[k + 1] < 0.0:
-            roots.append(float(brentq(f, xs[k], xs[k + 1], xtol=tol)))
-    if sign[-1] == 0.0:
-        roots.append(float(xs[-1]))
-
-    # interior grid minima with small gap: candidate tangent roots
-    for k in range(1, len(xs) - 1):
-        if gap[k] <= gap[k - 1] and gap[k] <= gap[k + 1] and abs(gap[k]) < _TANGENT_GATE:
-            res = minimize_scalar(
-                f, bounds=(xs[k - 1], xs[k + 1]), method="bounded",
-                options={"xatol": tol},
-            )
-            if abs(res.fun) <= 10.0 * tol and res.x > 0.0:
-                roots.append(float(res.x))
-
-    if not roots:
+    if n >= 5:
         return np.array([])
-    merged: list[float] = []
-    for x in sorted(roots):
-        if not merged or x - merged[-1] > max(10.0 * tol, 1.0e-12):
-            merged.append(x)
-    certified = [x for x in merged if abs(f(x)) <= 10.0 * tol and 0.0 < x <= chi_t_max]
-    return np.array(certified)
+    a = np.arccos(1.0 - n / 2.0)
+    turns = 2.0 * np.pi * np.arange(int(n * chi_t_max / (2.0 * np.pi)) + 1)
+    # -a is taken as 2 pi - a, so that for n = 4 (a = pi) both branches
+    # give bitwise-equal phases and np.unique merges them
+    x = np.unique(np.concatenate([turns + a, turns + (2.0 * np.pi - a)])) / n
+    # a root that equals chi_t_max up to rounding lies inside the window
+    return x[(x > 0.0) & (x <= chi_t_max + 4.0 * np.spacing(chi_t_max))]

@@ -41,6 +41,10 @@ class TimeGrid:
     def __post_init__(self):
         if self.points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.points}")
+        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
+            raise ValueError(
+                f"grid bounds must be finite, got [{self.t_start}, {self.t_end}]"
+            )
         if not self.t_end > self.t_start:
             raise ValueError(
                 f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .analytic import amplitude_grid, find_w_crossings
 from .dynamics import TimeGrid, evolve_lindblad_batch, evolve_unitary
@@ -100,7 +99,7 @@ def reference_spec(
 
 def first_crossing_chi_t(n: int) -> float:
     """First phase chi*t at which all n populations are equal (radians)."""
-    roots = find_w_crossings(n, 1.5 * np.pi, tol=1.0e-9)
+    roots = find_w_crossings(n, 1.5 * np.pi)
     if len(roots) == 0:
         raise ValueError(
             f"homogeneous n={n} network has no equal-population time; "
@@ -387,6 +386,9 @@ def optimize_g1(
     the smallest coupling that already achieves the optimum, i.e. the
     feasibility boundary.
     """
+    # imported by its only user, so that importing the package skips it
+    from scipy.optimize import minimize_scalar
+
     if n < 5:
         raise ValueError(f"calibration targets n >= 5 (homogeneous n={n} has no gap)")
     spec = spec if spec is not None else reference_spec(n)

@@ -64,17 +64,33 @@ def test_population_gap_formula():
 
 
 def test_crossings_n3_exact():
-    # cos(3x) = -1/2 -> chi t in {2,4,8,10} pi/9
-    roots = find_w_crossings(3, 1.5 * np.pi, tol=1.0e-9)
-    expected = np.array([2.0, 4.0, 8.0, 10.0]) * np.pi / 9.0
-    np.testing.assert_allclose(roots, expected, atol=1.0e-8)
+    exact = {
+        # cos(2x) = 0 -> chi t in {1,3,5} pi/4
+        2: np.array([1.0, 3.0, 5.0]) * np.pi / 4.0,
+        # cos(3x) = -1/2 -> chi t in {2,4,8,10} pi/9
+        3: np.array([2.0, 4.0, 8.0, 10.0]) * np.pi / 9.0,
+    }
+    for n, expected in exact.items():
+        roots = find_w_crossings(n, 1.5 * np.pi, tol=1.0e-9)
+        np.testing.assert_allclose(roots, expected, rtol=0, atol=1.0e-12)
 
 
 def test_crossings_n4_tangencies():
     # cos(4x) = -1: gap touches zero without sign change at odd multiples of pi/4
     roots = find_w_crossings(4, 1.5 * np.pi, tol=1.0e-7)
     expected = np.array([1.0, 3.0, 5.0]) * np.pi / 4.0
-    np.testing.assert_allclose(roots, expected, atol=1.0e-5)
+    np.testing.assert_allclose(roots, expected, rtol=0, atol=1.0e-12)
+    # a longer window: each double root is reported once
+    roots = find_w_crossings(4, 100.0)
+    expected = (2.0 * np.arange(64) + 1.0) * np.pi / 4.0
+    np.testing.assert_allclose(roots, expected, rtol=0, atol=1.0e-12)
+
+
+@pytest.mark.parametrize("chi_t_max", [np.nan, np.inf, -np.inf])
+def test_crossings_reject_non_finite_window(chi_t_max):
+    # n = 3 has infinitely many roots; an empty answer would be wrong
+    with pytest.raises(ValueError, match="finite"):
+        find_w_crossings(3, chi_t_max)
 
 
 def test_no_crossings_for_n5_homogeneous():
@@ -96,6 +112,9 @@ def test_crossings_sorted_within_window():
     assert np.all((roots > 0) & (roots <= 0.5 * np.pi + 1.0e-9))
     # only the first two roots fall below pi/2
     assert len(roots) == 2
+    # a window that ends on a root includes it
+    assert len(find_w_crossings(3, 2.0 * np.pi / 9.0)) == 1
+    assert len(find_w_crossings(3, 4.0 * np.pi / 9.0)) == 2
 
 
 def test_w_state_uniform_weights():

@@ -1,10 +1,14 @@
 """Command-line driver: exit codes, outputs, manifests, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import resonatorsim
 from resonatorsim import dynamics, reference_spec, spec_to_dict
 from resonatorsim.cli import main
 
@@ -38,6 +42,33 @@ def test_crossings_outputs(tmp_path):
 def test_crossings_none_found(capsys):
     assert main(["crossings", "--n", "5", "--out", "none.csv"]) == 0
     assert "no equal-population times" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_crossings_non_finite_window_exit_2(value, tmp_path, capsys):
+    assert main(["crossings", "--n", "3", "--chi-t-max", value, "--out", "c.csv"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_crossings_leave_scipy_optimize_unimported(tmp_path):
+    # only optimize_g1 needs scipy.optimize; a fresh interpreter shows
+    # whether importing the package or running crossings pulls it in
+    script = (
+        "import sys, resonatorsim\n"
+        "from resonatorsim.cli import main\n"
+        "assert main(['crossings', '--n', '3', '--out', 'c.csv']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(resonatorsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_evolve_deterministic(tmp_path):

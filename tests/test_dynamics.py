@@ -58,6 +58,10 @@ def test_time_grid_validation():
         TimeGrid(0.0, 1.0, 1)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0.5, 10)
+    # a non-finite bound would give times [nan, inf, inf]
+    for bounds in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(*bounds, 3)
     grid = TimeGrid(0.0, 2.0, 5)
     np.testing.assert_allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
