@@ -4,17 +4,16 @@ resonators coupled through a common bus.
 The package models n harmonic resonators dispersively coupled to one bus
 resonator, derives the bus-mediated hopping network, and provides three
 mutually checking routes to the dynamics: closed-form amplitudes, the
-bus-eliminated effective model, and ab initio (unitary or damped)
-propagation of the full system.
+reduced amplitude equations of the bus-eliminated model
+(integrate_amplitudes), and ab initio (unitary or damped) propagation of
+the full system.
 """
 
 from .analytic import (
     amplitude_grid,
     amplitudes_homogeneous,
     find_w_crossings,
-    population_gap,
     populations,
-    w_state,
 )
 from .dynamics import (
     PropagationError,
@@ -37,6 +36,7 @@ from .experiments import (
     sweep_fidelity_vs_time,
     sweep_gm,
     sweep_werner,
+    write_json,
     write_result,
 )
 from .fockspace import (
@@ -53,7 +53,6 @@ from .fockspace import (
 from .hamiltonians import (
     HamiltonianSet,
     SwIdentityReport,
-    build_effective,
     build_full,
     build_sw_generator,
     shift_frame,
@@ -106,7 +105,6 @@ __all__ = [
     "amplitudes_homogeneous",
     "annihilation",
     "build_basis",
-    "build_effective",
     "build_full",
     "build_sw_generator",
     "commutator",
@@ -132,7 +130,6 @@ __all__ = [
     "optimize_to_scenario",
     "population",
     "population_dm",
-    "population_gap",
     "populations",
     "reference_spec",
     "scenario_population",
@@ -149,8 +146,8 @@ __all__ = [
     "total_number",
     "vacuum_index",
     "verify_sw_identities",
-    "w_state",
     "werner_initial",
+    "write_json",
     "write_result",
     "__version__",
 ]

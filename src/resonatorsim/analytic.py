@@ -41,35 +41,6 @@ def populations(amplitudes: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(amplitudes)) ** 2
 
 
-def w_state(n: int, phases=None) -> np.ndarray:
-    """Normalized W-type amplitude vector (phi_1, ..., phi_n)/sqrt(n).
-
-    phases defaults to all ones; each entry must be unimodular.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 resonators, got n={n}")
-    if phases is None:
-        phi = np.ones(n, dtype=complex)
-    else:
-        phi = np.asarray(phases, dtype=complex)
-        if phi.shape != (n,):
-            raise ValueError(f"expected {n} phases, got shape {phi.shape}")
-        if not np.allclose(np.abs(phi), 1.0, atol=1.0e-12):
-            raise ValueError("phases must be unimodular")
-    return phi / np.sqrt(n)
-
-
-def population_gap(n: int, chi_t) -> np.ndarray:
-    """|C_1|^2 - |C_2|^2 as a function of the phase chi_t.
-
-    Zeros of this gap are the equal-population instants where the state
-    reaches W form up to local phases.
-    """
-    c = amplitude_grid(n, chi_t)
-    p = populations(c)
-    return p[..., 0] - p[..., 1]
-
-
 def find_w_crossings(n: int, chi_t_max: float, tol: float = 1.0e-6) -> np.ndarray:
     """All phases in (0, chi_t_max] where every resonator is equally populated.
 

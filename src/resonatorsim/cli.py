@@ -10,7 +10,6 @@ or verification failure, 2 bad flags or config.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -22,7 +21,6 @@ from .analytic import amplitude_grid, find_w_crossings
 from .dynamics import PropagationError
 from .experiments import (
     ScenarioResult,
-    _write_atomic,
     optimize_g1,
     optimize_to_scenario,
     reference_spec,
@@ -31,6 +29,7 @@ from .experiments import (
     sweep_fidelity_vs_time,
     sweep_gm,
     sweep_werner,
+    write_json,
     write_result,
 )
 from .fockspace import build_basis
@@ -272,9 +271,21 @@ def _cmd_map_g2(args) -> int:
 
 def _cmd_sw_verify(args) -> int:
     spec = _load_or_reference(args, args.n if args.config is None else None)
-    basis = build_basis(spec.n + 1, cutoff=1, excitation_cap=1)
-    rep = verify_sw_identities(spec, basis)
-    passed = rep.r1 <= SW_R1_BOUND and rep.eigenvalue_drift <= SW_DRIFT_BOUND
+    out = Path(args.out) if args.out else Path("sw_verify.json")
+    report = _write_sw_report(spec, out)
+    passed = report["passed"]
+    _write_manifest(args, [out], "ok" if passed else "check_failed")
+    for key, val in report.items():
+        if isinstance(val, float):
+            print(f"{key} = {val:.3e}")
+    print(f"sw_verify: {'PASS' if passed else 'FAIL'} -> {out}")
+    return 0 if passed else 1
+
+
+def _write_sw_report(spec, path: Path) -> dict:
+    """Bus-elimination identity residuals of spec on its one-photon basis,
+    written to path as JSON; returns the report."""
+    rep = verify_sw_identities(spec, build_basis(spec.n + 1, cutoff=1, excitation_cap=1))
     report = {
         "r1_interaction_cancellation": rep.r1,
         "r2_second_order_truncation": rep.r2,
@@ -282,17 +293,11 @@ def _cmd_sw_verify(args) -> int:
         "r3_dispersive_form_match": rep.r3,
         "eigenvalue_drift": rep.eigenvalue_drift,
         "spectrum_relative_error": rep.spectrum_relative_error,
-        "passed": passed,
+        "passed": rep.r1 <= SW_R1_BOUND and rep.eigenvalue_drift <= SW_DRIFT_BOUND,
         "version": __version__,
     }
-    out = Path(args.out) if args.out else Path("sw_verify.json")
-    _write_atomic(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    files = [out, _write_manifest(args, [out], "ok" if passed else "check_failed")]
-    for key, val in report.items():
-        if isinstance(val, float):
-            print(f"{key} = {val:.3e}")
-    print(f"sw_verify: {'PASS' if passed else 'FAIL'} -> {files[0]}")
-    return 0 if passed else 1
+    write_json(path, report)
+    return report
 
 
 def _cmd_all(args) -> int:
@@ -325,25 +330,8 @@ def _cmd_all(args) -> int:
         outputs += write_result(res, outdir / f"{stem}.csv")
         print(f"{stem}: {res.rows} rows")
 
-    spec = reference_spec(3)
-    rep = verify_sw_identities(spec, build_basis(4, cutoff=1, excitation_cap=1))
-    passed = rep.r1 <= SW_R1_BOUND and rep.eigenvalue_drift <= SW_DRIFT_BOUND
     report_path = outdir / "sw_verify.json"
-    _write_atomic(
-        report_path,
-        json.dumps(
-            {
-                "r1_interaction_cancellation": rep.r1,
-                "eigenvalue_drift": rep.eigenvalue_drift,
-                "spectrum_relative_error": rep.spectrum_relative_error,
-                "passed": passed,
-                "version": __version__,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
+    passed = _write_sw_report(reference_spec(3), report_path)["passed"]
     outputs.append(report_path)
     print(f"sw_verify: {'PASS' if passed else 'FAIL'}")
 
@@ -398,8 +386,7 @@ def _write_manifest(args, outputs: list[Path], status: str,
         "status": status,
         "version": __version__,
     }
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(path, payload)
 
 
 def _float_list(raw: str, flag: str, allow_inf: bool = False) -> list[float]:

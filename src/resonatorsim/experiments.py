@@ -121,19 +121,14 @@ def scenario_population(
     with_kappa_mhz is given, p_damped_j from the master equation with that
     uniform decay rate on every mode.
     """
-    spec = spec if spec is not None else reference_spec(n)
-    _require_n(spec, n)
-    model = derive_dispersive(spec)
-    if not model.is_homogeneous():
-        raise ValueError("population scenario expects identical resonators and couplings")
-    chi = model.chi_homogeneous
+    spec, chi = _homogeneous(spec, n)
     x = np.linspace(0.0, chi_t_max_over_pi, points)
     chi_t = np.pi * x
 
     p_analytic = np.abs(amplitude_grid(n, chi_t)) ** 2
 
     basis = build_basis(n + 1, cutoff=1, excitation_cap=1)
-    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    h = _frame_hamiltonian(spec, basis)
     psi0 = _single_photon_state(basis, mode=1)
     grid = TimeGrid(0.0, chi_t[-1] / chi, points)
     traj = evolve_unitary(h, psi0, grid)
@@ -169,19 +164,14 @@ def sweep_fidelity_vs_time(
 ) -> ScenarioResult:
     """Fidelity against the pinned first-crossing target versus time, one
     master-equation run per decay rate (all modes damped equally)."""
-    spec = spec if spec is not None else reference_spec(n)
-    _require_n(spec, n)
-    model = derive_dispersive(spec)
-    if not model.is_homogeneous():
-        raise ValueError("fidelity sweep expects identical resonators and couplings")
-    chi = model.chi_homogeneous
+    spec, chi = _homogeneous(spec, n)
     kappas = [float(k) for k in kappas_mhz]
     if any(k < 0 for k in kappas):
         raise ValueError(f"decay rates must be nonnegative, got {kappas}")
 
     chi_t_star = first_crossing_chi_t(n)
     basis = build_basis(n + 1, cutoff=1, excitation_cap=1)
-    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    h = _frame_hamiltonian(spec, basis)
     target = ideal_target(n, chi_t_star, basis)
     psi0 = _single_photon_state(basis, mode=1)
     rho0 = np.broadcast_to(
@@ -218,14 +208,9 @@ def sweep_fidelity_map_g2(
     column costs one diagonalization; the equivalence with the
     master-equation propagator is covered by tests.
     """
-    spec = spec if spec is not None else reference_spec(3)
-    _require_n(spec, 3)
+    spec, chi = _homogeneous(spec, 3)
     if kappa_mhz < 0:
         raise ValueError(f"decay rate must be nonnegative, got {kappa_mhz}")
-    base = derive_dispersive(spec)
-    if not base.is_homogeneous():
-        raise ValueError("the map varies g2 around a homogeneous base system")
-    chi = base.chi_homogeneous
     ratios = (
         np.arange(0.5, 1.5001, 0.05) if g2_ratios is None else np.asarray(g2_ratios, float)
     )
@@ -240,8 +225,7 @@ def sweep_fidelity_map_g2(
     g2_base = spec.resonators[1].g_mhz
 
     def unitary_column(ratio: float) -> np.ndarray:
-        varied = _with_coupling(spec, 1, g2_base * ratio)
-        h = shift_frame(build_full(varied, basis).h_full, basis, varied.omegas[0])
+        h = _frame_hamiltonian(_with_coupling(spec, 1, g2_base * ratio), basis)
         evals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
         c0 = vecs.conj().T @ psi0
         states = (np.exp(-1j * np.outer(times, evals)) * c0) @ vecs.T
@@ -267,12 +251,7 @@ def sweep_gm(
     """Fidelity at the pinned operation time versus the ratio g/G_M of bus
     coupling to direct nearest-neighbour coupling; infinite ratio means no
     direct coupling and serves as the baseline."""
-    spec = spec if spec is not None else reference_spec(3)
-    _require_n(spec, 3)
-    base = derive_dispersive(spec)
-    if not base.is_homogeneous():
-        raise ValueError("the direct-coupling sweep expects a homogeneous base system")
-    chi = base.chi_homogeneous
+    spec, chi = _homogeneous(spec, 3)
     g_mhz = spec.resonators[0].g_mhz
     ratios = [float(r) for r in ratios]
     if any(r <= 0 for r in ratios):
@@ -286,12 +265,7 @@ def sweep_gm(
     target = ideal_target(3, chi_t_star, basis)
     psi0 = _single_photon_state(basis, mode=1)
 
-    h_list = []
-    for gm in gm_values:
-        varied = replace(spec, gm_mhz=gm)
-        h_list.append(
-            shift_frame(build_full(varied, basis).h_full, basis, varied.omegas[0])
-        )
+    h_list = [_frame_hamiltonian(replace(spec, gm_mhz=gm), basis) for gm in gm_values]
     nbatch = len(ratios) * len(kappas)
     hbatch = np.stack([h for h in h_list for _ in kappas])
     rho0 = np.broadcast_to(
@@ -328,12 +302,7 @@ def sweep_werner(
     are advanced by exact diagonalization, otherwise by the exact Liouvillian
     propagator, which exponentiates the one generator all entries share once.
     """
-    spec = spec if spec is not None else reference_spec(3)
-    _require_n(spec, 3)
-    base = derive_dispersive(spec)
-    if not base.is_homogeneous():
-        raise ValueError("the Werner sweep expects a homogeneous base system")
-    chi = base.chi_homogeneous
+    spec, chi = _homogeneous(spec, 3)
     ps = np.linspace(0.0, 1.0, 11) if p_grid is None else np.asarray(p_grid, float)
     thetas = [float(t) for t in thetas_pi]
 
@@ -341,7 +310,7 @@ def sweep_werner(
     t_star = chi_t_star / chi
     basis = build_basis(4, cutoff=1, excitation_cap=3)
     target = ideal_target(3, chi_t_star, basis)
-    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    h = _frame_hamiltonian(spec, basis)
     rho0 = np.stack(
         [
             werner_initial(WernerParams(float(p), np.pi * th), basis)
@@ -405,9 +374,8 @@ def optimize_g1(
 
     def linf_curve(g1_mhz: float) -> np.ndarray:
         varied = _with_coupling(spec, 0, g1_mhz)
-        model = derive_dispersive(varied)
-        chi_ref = float(model.chi[-1, -2])
-        h = shift_frame(build_full(varied, basis).h_full, basis, varied.omegas[0])
+        chi_ref = float(derive_dispersive(varied).chi[-1, -2])
+        h = _frame_hamiltonian(varied, basis)
         traj = evolve_unitary(h, psi0, TimeGrid(0.0, np.pi * x[-1] / chi_ref, len(x)))
         p = single_photon_populations(traj.states, basis, n)
         return np.max(np.abs(p - 1.0 / n), axis=1)
@@ -474,8 +442,19 @@ def write_result(result: ScenarioResult, csv_path) -> list[Path]:
     payload = dict(result.metadata)
     payload["columns"] = names
     payload["rows"] = result.rows
-    _write_atomic(meta_path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    write_json(meta_path, payload)
     return [csv_path, meta_path]
+
+
+def write_json(path, payload: dict) -> Path:
+    """Write a mapping as sorted, indented JSON, atomically.
+
+    numpy scalars and arrays become plain numbers and lists, and non-finite
+    floats their repr strings, so the file is strict JSON.  Returns the path.
+    """
+    path = Path(path)
+    _write_atomic(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    return path
 
 
 # --- helpers ----------------------------------------------------------------
@@ -484,6 +463,22 @@ def write_result(result: ScenarioResult, csv_path) -> list[Path]:
 def _require_n(spec: SystemSpec, n: int) -> None:
     if spec.n != n:
         raise ValueError(f"spec has {spec.n} resonators but the scenario needs {n}")
+
+
+def _homogeneous(spec: SystemSpec | None, n: int) -> tuple[SystemSpec, float]:
+    """The scenario's spec (the reference point when None), checked to have
+    n identical resonators and couplings, and its common hopping rate chi."""
+    spec = spec if spec is not None else reference_spec(n)
+    _require_n(spec, n)
+    model = derive_dispersive(spec)
+    if not model.is_homogeneous():
+        raise ValueError("the scenario expects identical resonators and couplings")
+    return spec, model.chi_homogeneous
+
+
+def _frame_hamiltonian(spec: SystemSpec, basis: FockBasis) -> np.ndarray:
+    """Ab initio Hamiltonian in the frame rotating at the first resonator."""
+    return shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
 
 
 def _single_photon_state(basis: FockBasis, mode: int) -> np.ndarray:

@@ -7,7 +7,6 @@ ordering is deterministic for a given (modes, cutoff, excitation_cap).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +55,10 @@ def build_basis(n_modes: int, cutoff: int, excitation_cap: int | None = None) ->
     n_modes : number of bosonic modes (bus + distant resonators), >= 2
     cutoff : highest occupation per mode, >= 1
     excitation_cap : if given, drop states whose total photon number exceeds it
+
+    The capped states are enumerated directly, one mode at a time, so the
+    cost grows with the basis dimension rather than with (cutoff+1)^n_modes;
+    the order is the lexicographic order of itertools.product.
     """
     if n_modes < 2:
         raise ValueError(f"need at least 2 modes (bus + 1 resonator), got {n_modes}")
@@ -63,12 +66,13 @@ def build_basis(n_modes: int, cutoff: int, excitation_cap: int | None = None) ->
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if excitation_cap is not None and excitation_cap < 1:
         raise ValueError(f"excitation_cap must be >= 1 when given, got {excitation_cap}")
-    states = tuple(
-        occ
-        for occ in itertools.product(range(cutoff + 1), repeat=n_modes)
-        if excitation_cap is None or sum(occ) <= excitation_cap
-    )
-    return FockBasis(n_modes, cutoff, excitation_cap, states)
+    cap = cutoff * n_modes if excitation_cap is None else excitation_cap
+    states = [()]
+    for _ in range(n_modes):
+        states = [
+            occ + (k,) for occ in states for k in range(min(cutoff, cap - sum(occ)) + 1)
+        ]
+    return FockBasis(n_modes, cutoff, excitation_cap, tuple(states))
 
 
 def annihilation(basis: FockBasis, mode: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Hamiltonian matrices for the bus-coupled resonator network.
 
 Builds the ab initio Hamiltonian (bus + distant resonators + optional direct
-nearest-neighbour coupling), the antihermitian generator that eliminates the
-bus to first order, and the bus-free effective hopping model valid in the
-dispersive regime.  All matrices are dense complex arrays in rad/us.
+nearest-neighbour coupling) and the antihermitian generator that eliminates
+the bus to first order, and checks the elimination against the explicit
+dispersive form.  The bus-free model itself is propagated by
+dynamics.integrate_amplitudes.  All matrices are dense complex arrays in
+rad/us.
 """
 
 from __future__ import annotations
@@ -14,22 +16,22 @@ import numpy as np
 import scipy.linalg
 
 from .fockspace import FockBasis, annihilation, creation, number, total_number
-from .model import SystemSpec, DispersiveModel, derive_dispersive
+from .model import SystemSpec, derive_dispersive
 
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSet:
     """Pieces of the ab initio Hamiltonian on a common basis.
 
-    h_full = h0 + h_int + h_gm.  s_generator is the antihermitian matrix S
-    with [S, h0] = -h_int, or None when a zero detuning makes it undefined.
+    h_full = h0 + h_int + h_gm: bare modes, bus coupling, and direct
+    nearest-neighbour coupling.  The generator that eliminates h_int is
+    built separately, by build_sw_generator.
     """
 
     h_full: np.ndarray
     h0: np.ndarray
     h_int: np.ndarray
     h_gm: np.ndarray
-    s_generator: np.ndarray | None
 
     @property
     def dim(self) -> int:
@@ -60,10 +62,7 @@ def build_full(spec: SystemSpec, basis: FockBasis) -> HamiltonianSet:
             bj = annihilation(basis, j)
             bk = annihilation(basis, j + 1)
             h_gm = h_gm + spec.gm * (bj.conj().T @ bk + bk.conj().T @ bj)
-    s = None
-    if np.all(spec.detunings != 0.0):
-        s = build_sw_generator(spec, basis)
-    return HamiltonianSet(h0 + h_int + h_gm, h0, h_int, h_gm, s)
+    return HamiltonianSet(h0 + h_int + h_gm, h0, h_int, h_gm)
 
 
 def build_sw_generator(spec: SystemSpec, basis: FockBasis) -> np.ndarray:
@@ -86,34 +85,6 @@ def build_sw_generator(spec: SystemSpec, basis: FockBasis) -> np.ndarray:
         lam = spec.couplings[j] / spec.detunings[j]
         s = s + lam * (a_dag @ b - b.conj().T @ a_dag.conj().T)
     return s
-
-
-def build_effective(model: DispersiveModel, basis: FockBasis, atol: float = 1.0e-9) -> np.ndarray:
-    """Bus-free hopping Hamiltonian sum_{i<j} chi_ij (b_i^dag b_j + h.c.).
-
-    Valid only when all Lamb-shifted resonator frequencies coincide; the
-    matrix is written in the frame rotating at that common frequency, so the
-    diagonal is zero.  The basis covers the n distant modes only.  For
-    detuned systems use dynamics.integrate_amplitudes instead.
-    """
-    if basis.modes != model.n:
-        raise ValueError(
-            f"basis has {basis.modes} modes but the effective model needs {model.n}"
-        )
-    if not model.is_resonant(atol):
-        worst = float(np.max(np.abs(model.delta_ij)))
-        raise ValueError(
-            f"Lamb-shifted frequencies differ by up to {worst:.3g} rad/us; "
-            "the static hopping model requires degeneracy "
-            "(use dynamics.integrate_amplitudes for detuned systems)"
-        )
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for i in range(model.n):
-        bi_dag = creation(basis, i)
-        for j in range(i + 1, model.n):
-            bj = annihilation(basis, j)
-            h = h + model.chi[i, j] * (bi_dag @ bj + bj.conj().T @ bi_dag.conj().T)
-    return h
 
 
 def shift_frame(h: np.ndarray, basis: FockBasis, omega_ref: float) -> np.ndarray:
@@ -155,11 +126,11 @@ def verify_sw_identities(spec: SystemSpec, basis: FockBasis) -> SwIdentityReport
     G_M is not part of the elimination and is excluded.
     """
     hs = build_full(spec, basis)
-    if hs.s_generator is None:
+    if np.any(spec.detunings == 0.0):
         raise ValueError("cannot verify elimination identities with a resonant bus")
     sub = _sector_indices(basis, 1)
     ix = np.ix_(sub, sub)
-    s = hs.s_generator[ix]
+    s = build_sw_generator(spec, basis)[ix]
     h0 = hs.h0[ix]
     h_int = hs.h_int[ix]
     h = h0 + h_int

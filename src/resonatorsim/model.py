@@ -30,6 +30,14 @@ def mhz_to_angular(freq_mhz: float) -> float:
     return TWO_PI * freq_mhz
 
 
+def _require_finite(spec, fields) -> None:
+    # NaN fails every ordered comparison, so the range checks alone let it in
+    for name in fields:
+        value = getattr(spec, name)
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ResonatorSpec:
     """One distant resonator: frequency (GHz), bus coupling g (MHz), decay (MHz)."""
@@ -39,6 +47,7 @@ class ResonatorSpec:
     kappa_mhz: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, ("freq_ghz", "g_mhz", "kappa_mhz"))
         if self.freq_ghz <= 0:
             raise ValueError(f"resonator frequency must be positive, got {self.freq_ghz} GHz")
         if self.g_mhz < 0:
@@ -70,6 +79,7 @@ class SystemSpec:
     gm_mhz: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, ("bus_freq_ghz", "bus_kappa_mhz", "gm_mhz"))
         if self.bus_freq_ghz <= 0:
             raise ValueError(f"bus frequency must be positive, got {self.bus_freq_ghz} GHz")
         if self.bus_kappa_mhz < 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import amplitudes_homogeneous
-from .fockspace import FockBasis, single_photon_index, vacuum_index
+from .fockspace import FockBasis, single_photon_index
 
 
 def population(states: np.ndarray, basis: FockBasis, occupation) -> np.ndarray:

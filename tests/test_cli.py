@@ -112,6 +112,16 @@ def test_config_n_mismatch_exit_2(tmp_path, capsys):
     assert "4 resonators" in capsys.readouterr().err
 
 
+def test_non_finite_config_exit_2(tmp_path, capsys):
+    data = spec_to_dict(reference_spec(3))
+    data["gm_mhz"] = float("nan")
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["sw-verify", "--config", str(cfg), "--out", "sw.json"]) == 2
+    assert "gm_mhz must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "sw.json").exists()
+
+
 def test_bad_flag_values_exit_2(capsys):
     assert main(["fidelity", "--kappas-mhz", "0,oops"]) == 2
     assert main(["optimize-g1", "--search-mhz", "5080"]) == 2
@@ -165,6 +175,16 @@ def test_sw_verify_pass(tmp_path, capsys):
     assert manifest["status"] == "ok"
 
 
+def test_all_writes_manifest_outputs_and_full_sw_report(tmp_path):
+    assert main(["all", "--outdir", "out"]) == 0
+    manifest = json.loads((tmp_path / "out" / "all.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "ok"
+    assert all(os.path.exists(path) for path in manifest["outputs"])
+    assert main(["sw-verify", "--n", "3", "--out", "sw.json"]) == 0
+    report = json.loads((tmp_path / "out" / "sw_verify.json").read_text(encoding="utf-8"))
+    assert report == json.loads((tmp_path / "sw.json").read_text(encoding="utf-8"))
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -172,9 +192,14 @@ def test_version_flag(capsys):
 
 
 def test_lindblad_dimension_limit_exit_2(monkeypatch, capsys):
-    # a real basis above the limit needs n >= 31 resonators, and building it
-    # walks 2^32 occupation tuples, so the limit is lowered below the five
-    # states of n = 3 instead
+    # the limit lowered below the five states of n = 3
     monkeypatch.setattr(dynamics, "MAX_LINDBLAD_DIM", 4)
     assert main(["evolve", "--n", "3", "--kappa-mhz", "0.5", "--out", "p.csv"]) == 2
     assert "limit of 4" in capsys.readouterr().err
+
+
+def test_lindblad_dimension_limit_real_basis_exit_2(tmp_path, capsys):
+    # n = 40 gives a 42-state basis, past the unpatched limit
+    assert main(["evolve", "--n", "40", "--kappa-mhz", "0.5", "--out", "p.csv"]) == 2
+    assert f"limit of {dynamics.MAX_LINDBLAD_DIM}" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()

@@ -1,5 +1,7 @@
 """Basis construction and ladder-operator algebra."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,8 @@ def test_basis_dimensions_single_excitation():
     # vacuum + one photon in any of the four modes
     assert basis.dim == 5
     assert basis.states[vacuum_index(basis)] == (0, 0, 0, 0)
+    # forty resonators and the bus: enumerating 2^41 tuples would never end
+    assert build_basis(41, cutoff=1, excitation_cap=1).dim == 42
 
 
 def test_basis_dimension_cap_three_four_modes():
@@ -97,10 +101,16 @@ def test_operators_conserve_total_excitation_blocks():
     assert np.max(np.abs(h[mask])) == 0.0
 
 
-@given(st.integers(2, 5), st.integers(1, 3))
+@given(st.integers(2, 5), st.integers(1, 3), st.one_of(st.none(), st.integers(1, 4)))
 @settings(max_examples=30, deadline=None)
-def test_basis_states_unique_and_capped(modes, cap):
-    basis = build_basis(modes, cutoff=1, excitation_cap=cap)
+def test_basis_states_unique_and_capped(modes, cutoff, cap):
+    basis = build_basis(modes, cutoff=cutoff, excitation_cap=cap)
     assert len(set(basis.states)) == basis.dim
-    assert all(sum(s) <= cap for s in basis.states)
-    assert all(max(s) <= 1 for s in basis.states)
+    assert all(cap is None or sum(s) <= cap for s in basis.states)
+    assert all(max(s) <= cutoff for s in basis.states)
+    # same states, same order as filtering the full product
+    expected = [
+        occ for occ in itertools.product(range(cutoff + 1), repeat=modes)
+        if cap is None or sum(occ) <= cap
+    ]
+    assert list(basis.states) == expected

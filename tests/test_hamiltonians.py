@@ -6,8 +6,8 @@ import scipy.linalg
 
 from resonatorsim import (
     build_basis,
-    build_effective,
     build_full,
+    build_sw_generator,
     derive_dispersive,
     reference_spec,
     shift_frame,
@@ -69,24 +69,6 @@ def test_shift_frame_shifts_single_photon_energies(spec3, basis4):
     )
 
 
-def test_effective_model_reproduces_closed_form_populations(spec3):
-    # bus-eliminated hopping model integrated directly must give the same
-    # populations as the closed-form amplitudes
-    from resonatorsim import TimeGrid, amplitude_grid, evolve_unitary, single_photon_index, single_photon_populations
-
-    model = derive_dispersive(spec3)
-    chi = model.chi_homogeneous
-    basis3 = build_basis(3, cutoff=1, excitation_cap=1)
-    h_eff = build_effective(model, basis3)
-    psi0 = np.zeros(basis3.dim, dtype=complex)
-    psi0[single_photon_index(basis3, 0)] = 1.0
-    grid = TimeGrid(0.0, 1.3 * np.pi / chi, 80)
-    traj = evolve_unitary(h_eff, psi0, grid)
-    p_eff = single_photon_populations(traj.states, basis3, 3)
-    p_closed = np.abs(amplitude_grid(3, chi * traj.times)) ** 2
-    np.testing.assert_allclose(p_eff, p_closed, atol=1.0e-12)
-
-
 def test_full_single_photon_band_structure(spec3, basis4):
     # in the frame rotating at the bare resonator frequency, the hopping band
     # of the full model is one collective state 3*chi deep (2*chi of hopping
@@ -99,24 +81,6 @@ def test_full_single_photon_band_structure(spec3, basis4):
     low = np.sort(ev[np.abs(ev) < 10.0 * chi])
     np.testing.assert_allclose(low, [-3.0 * chi, 0.0, 0.0, 0.0], atol=0.05 * chi)
     assert np.max(ev) > 0.5 * model.delta[0]
-
-
-def test_effective_requires_resonant_network():
-    spec = reference_spec(3)
-    import dataclasses
-
-    detuned = dataclasses.replace(
-        spec,
-        resonators=(
-            spec.resonators[0],
-            dataclasses.replace(spec.resonators[1], freq_ghz=5.80),
-            spec.resonators[2],
-        ),
-    )
-    model = derive_dispersive(detuned)
-    basis3 = build_basis(3, cutoff=1, excitation_cap=1)
-    with pytest.raises(ValueError, match="integrate_amplitudes"):
-        build_effective(model, basis3)
 
 
 def test_sw_residuals_reference_point(spec3, basis4):
@@ -140,6 +104,5 @@ def test_sw_truncation_error_scales_quadratically():
 
 
 def test_sw_transform_preserves_spectrum(spec3, basis4):
-    ham = build_full(spec3, basis4)
-    u = scipy.linalg.expm(ham.s_generator)
+    u = scipy.linalg.expm(build_sw_generator(spec3, basis4))
     np.testing.assert_allclose(u @ u.conj().T, np.eye(basis4.dim), atol=1.0e-12)

@@ -116,6 +116,25 @@ def test_negative_coupling_rejected():
         ResonatorSpec(5.75, -1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "field",
+    ["freq_ghz", "g_mhz", "kappa_mhz", "bus_freq_ghz", "bus_kappa_mhz", "gm_mhz"],
+)
+def test_non_finite_spec_values_rejected(field, value):
+    # NaN slips past every sign check, and inf breaks the dispersive algebra
+    resonator = {"freq_ghz": 5.75, "g_mhz": 50.0, "kappa_mhz": 0.0}
+    system = {"bus_freq_ghz": 6.75, "bus_kappa_mhz": 0.0, "gm_mhz": 0.0}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        if field in resonator:
+            ResonatorSpec(**{**resonator, field: value})
+        else:
+            SystemSpec(
+                resonators=(ResonatorSpec(5.75, 50.0), ResonatorSpec(5.75, 50.0)),
+                **{**system, field: value},
+            )
+
+
 def test_too_few_resonators_rejected():
     with pytest.raises(ValueError):
         SystemSpec(
