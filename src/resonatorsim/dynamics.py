@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 #: largest Hilbert dimension d the Lindblad route accepts; its dense
 #: d^2 x d^2 superoperator takes 16 d^4 bytes (17 MB at d = 32)
@@ -123,6 +122,9 @@ def evolve_lindblad_batch(
 
     Returns a Trajectory with states of shape (T, B, d, d).
     """
+    # the package's only scipy use, imported here to keep it off the import path
+    import scipy.linalg
+
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 3 or rho0.shape[1] != rho0.shape[2]:
         raise ValueError(f"rho0 must have shape (B, d, d), got {rho0.shape}")

@@ -122,15 +122,16 @@ def scenario_population(
     uniform decay rate on every mode.
     """
     spec, chi = _homogeneous(spec, n)
+    if with_kappa_mhz is not None:
+        _require_rate(with_kappa_mhz)
+    # the grid validates the window before any array is built from it
+    grid = TimeGrid(0.0, np.pi * chi_t_max_over_pi / chi, points)
     x = np.linspace(0.0, chi_t_max_over_pi, points)
-    chi_t = np.pi * x
-
-    p_analytic = np.abs(amplitude_grid(n, chi_t)) ** 2
+    p_analytic = np.abs(amplitude_grid(n, np.pi * x)) ** 2
 
     basis = build_basis(n + 1, cutoff=1, excitation_cap=1)
     h = _frame_hamiltonian(spec, basis)
     psi0 = _single_photon_state(basis, mode=1)
-    grid = TimeGrid(0.0, chi_t[-1] / chi, points)
     traj = evolve_unitary(h, psi0, grid)
     p_abinitio = single_photon_populations(traj.states, basis, n)
 
@@ -140,8 +141,6 @@ def scenario_population(
     for j in range(n):
         columns[f"p_abinitio_{j + 1}"] = p_abinitio[:, j]
     if with_kappa_mhz is not None:
-        if with_kappa_mhz < 0:
-            raise ValueError(f"decay rate must be nonnegative, got {with_kappa_mhz}")
         ops = [(float(with_kappa_mhz), annihilation(basis, m)) for m in range(n + 1)]
         rho0 = np.outer(psi0, psi0.conj())[None]
         damped = evolve_lindblad_batch(h, ops, rho0, grid)
@@ -179,8 +178,8 @@ def sweep_fidelity_vs_time(
     ).copy()
     rates = np.array(kappas)
     ops = [(rates, annihilation(basis, m)) for m in range(n + 1)]
-    x = np.linspace(0.0, chi_t_max_over_pi, points)
     grid = TimeGrid(0.0, np.pi * chi_t_max_over_pi / chi, points)
+    x = np.linspace(0.0, chi_t_max_over_pi, points)
     traj = evolve_lindblad_batch(h, ops, rho0, grid)
     fid = fidelity_dm(traj.states, target)
 
@@ -209,8 +208,7 @@ def sweep_fidelity_map_g2(
     master-equation propagator is covered by tests.
     """
     spec, chi = _homogeneous(spec, 3)
-    if kappa_mhz < 0:
-        raise ValueError(f"decay rate must be nonnegative, got {kappa_mhz}")
+    _require_rate(kappa_mhz)
     ratios = (
         np.arange(0.5, 1.5001, 0.05) if g2_ratios is None else np.asarray(g2_ratios, float)
     )
@@ -349,15 +347,13 @@ def optimize_g1(
     """Calibrate the first resonator's coupling so the network reaches
     near-equal populations despite n >= 5.
 
-    Objective: min over time of max_m |P_m(t) - 1/n| from ab initio unitary
-    evolution (decay off during calibration).  Coarse grid, then bounded
-    scalar refinement around the best point; plateaus are resolved toward
-    the smallest coupling that already achieves the optimum, i.e. the
-    feasibility boundary.
+    Resonators 2..n must share one coupling g, and all resonators one
+    detuning.  The coupling is then the closed form of design_w_couplings
+    for equal targets, g1* = (sqrt(n) - 1) g, and it must lie in
+    search_mhz.  Objective: min over time of max_m |P_m(t) - 1/n| from ab
+    initio unitary evolution (decay off), reported at g1* and on a
+    grid_points landscape over search_mhz.
     """
-    # imported by its only user, so that importing the package skips it
-    from scipy.optimize import minimize_scalar
-
     if n < 5:
         raise ValueError(f"calibration targets n >= 5 (homogeneous n={n} has no gap)")
     spec = spec if spec is not None else reference_spec(n)
@@ -367,6 +363,20 @@ def optimize_g1(
         raise ValueError(f"search interval must satisfy 0 < lo < hi, got {search_mhz}")
     if grid_points < 3:
         raise ValueError(f"need at least 3 grid points, got {grid_points}")
+    if not (math.isfinite(chi_t_max_over_pi) and chi_t_max_over_pi > 0):
+        raise ValueError(f"time window must be finite and positive, got {chi_t_max_over_pi}")
+    g_rest = [r.g_mhz for r in spec.resonators[1:]]
+    if len(set(g_rest)) > 1:
+        raise ValueError(f"resonators 2..{n} must share one coupling, got {g_rest} MHz")
+    freqs = [r.freq_ghz for r in spec.resonators]
+    if len(set(freqs)) > 1:
+        raise ValueError(f"resonators must share one detuning, got frequencies {freqs} GHz")
+    g1_star = (math.sqrt(n) - 1.0) * g_rest[0]
+    if not lo <= g1_star <= hi:
+        raise ValueError(
+            f"closed-form g1* = {g1_star:.2f} MHz lies outside the search "
+            f"interval [{lo:g}, {hi:g}] MHz"
+        )
 
     basis = build_basis(n + 1, cutoff=1, excitation_cap=1)
     psi0 = _single_photon_state(basis, mode=1)
@@ -380,29 +390,13 @@ def optimize_g1(
         p = single_photon_populations(traj.states, basis, n)
         return np.max(np.abs(p - 1.0 / n), axis=1)
 
-    def objective(g1_mhz: float) -> float:
-        return float(np.min(linf_curve(g1_mhz)))
-
     grid = np.linspace(lo, hi, grid_points)
-    values = np.array([objective(g) for g in grid])
-    best = float(values.min())
-    # plateau tie-break: smallest coupling within tolerance of the best
-    tie_tol = 1.0e-2
-    k = int(np.flatnonzero(values <= best + tie_tol)[0])
-    b_lo = grid[max(k - 1, 0)]
-    b_hi = grid[min(k + 1, grid_points - 1)]
-    res = minimize_scalar(
-        objective, bounds=(b_lo, b_hi), method="bounded", options={"xatol": 1.0e-2}
-    )
-    candidates = [(values[k], float(grid[k])), (float(res.fun), float(res.x))]
-    obj_star, g1_star = min(candidates, key=lambda c: (round(c[0], 6), c[1]))
-
+    values = np.array([float(np.min(linf_curve(g))) for g in grid])
     curve = linf_curve(g1_star)
-    equal_x = _distinct_minima(x, curve, NEAR_EQUAL_TOL)
     return OptimizeG1Result(
         g1_mhz=g1_star,
         objective=float(np.min(curve)),
-        chi_t_over_pi_equal=equal_x,
+        chi_t_over_pi_equal=_distinct_minima(x, curve, NEAR_EQUAL_TOL),
         grid_g1_mhz=grid,
         grid_objective=values,
     )
@@ -463,6 +457,11 @@ def write_json(path, payload: dict) -> Path:
 def _require_n(spec: SystemSpec, n: int) -> None:
     if spec.n != n:
         raise ValueError(f"spec has {spec.n} resonators but the scenario needs {n}")
+
+
+def _require_rate(kappa_mhz: float) -> None:
+    if not (math.isfinite(kappa_mhz) and kappa_mhz >= 0):
+        raise ValueError(f"decay rate must be finite and nonnegative, got {kappa_mhz}")
 
 
 def _homogeneous(spec: SystemSpec | None, n: int) -> tuple[SystemSpec, float]:

@@ -6,10 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resonatorsim import (
+    TimeGrid,
     amplitude_grid,
     amplitudes_homogeneous,
+    build_basis,
+    build_full,
+    derive_dispersive,
+    design_w_couplings,
+    evolve_unitary,
     find_w_crossings,
+    integrate_amplitudes,
+    mhz_to_angular,
     populations,
+    reference_spec,
+    shift_frame,
+    single_photon_index,
+    single_photon_populations,
 )
 
 
@@ -119,3 +131,64 @@ def test_crossings_sorted_within_window():
     # a window that ends on a root includes it
     assert len(find_w_crossings(3, 2.0 * np.pi / 9.0)) == 1
     assert len(find_w_crossings(3, 4.0 * np.pi / 9.0)) == 2
+
+
+@pytest.mark.parametrize("target", [(0.5, 0.3, 0.2), (0.1, 0.6, 0.2, 0.1)])
+def test_designed_couplings_reach_target(target):
+    # G = 100 MHz at the reference detuning of 1 GHz
+    g, t_star = design_w_couplings(target, 100.0, 1000.0)
+    assert np.sum(g**2) == pytest.approx(100.0**2, rel=1.0e-12)
+    assert t_star == pytest.approx(0.05, rel=1.0e-12)
+    n = len(target)
+    spec = reference_spec(n, couplings_mhz=g)
+    grid = TimeGrid(0.0, t_star, 2)
+
+    # bus-eliminated model: exactly (+sqrt p_1, -sqrt p_m) up to a global
+    # phase, once the interaction-picture phases exp(i delta_j1 t) are undone
+    model = derive_dispersive(spec)
+    c0 = np.zeros(n, dtype=complex)
+    c0[0] = 1.0
+    c = integrate_amplitudes(model, c0, grid).states[-1]
+    c = c * np.exp(-1j * model.delta_ij[:, 0] * t_star)
+    c = c * abs(c[0]) / c[0]
+    expected = -np.sqrt(target)
+    expected[0] *= -1.0
+    np.testing.assert_allclose(c, expected, rtol=0, atol=1.0e-12)
+
+    # ab initio: off by terms of second order in g/Delta
+    basis = build_basis(n + 1, cutoff=1, excitation_cap=1)
+    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    psi0 = np.zeros(basis.dim, dtype=complex)
+    psi0[single_photon_index(basis, 1)] = 1.0
+    final = evolve_unitary(h, psi0, grid).states[-1]
+    p = single_photon_populations(final, basis, n)
+    np.testing.assert_allclose(p, target, rtol=0, atol=5.0e-4)
+
+
+def test_designed_equal_populations():
+    # n = 4: equal couplings, and chi t* = theta/n = pi/4 is the first tangent root
+    g, t_star = design_w_couplings(np.full(4, 0.25), 100.0, 1000.0)
+    np.testing.assert_allclose(g, g[1], rtol=1.0e-12)
+    chi_t = mhz_to_angular(g[1]) ** 2 / mhz_to_angular(1000.0) * t_star
+    assert chi_t == pytest.approx(np.pi / 4.0, rel=1.0e-12)
+    assert chi_t == pytest.approx(find_w_crossings(4, np.pi)[0], rel=1.0e-12)
+    # n = 5: g1/g = sqrt(5) - 1, the coupling optimize_g1 calibrates
+    g, _ = design_w_couplings(np.full(5, 0.2), 100.0, 1000.0)
+    np.testing.assert_allclose(g[1:], g[1], rtol=1.0e-12)
+    assert g[0] / g[1] == pytest.approx(np.sqrt(5.0) - 1.0, rel=1.0e-12)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [(-0.1, 0.6, 0.5), (np.nan, 0.5, 0.5), (np.inf, 0.5, 0.5), (0.5, 0.3, 0.3), (0.5,)],
+)
+def test_design_rejects_bad_targets(target):
+    with pytest.raises(ValueError):
+        design_w_couplings(target, 100.0, 1000.0)
+
+
+@pytest.mark.parametrize("g_norm, detuning", [(0.0, 1000.0), (np.nan, 1000.0),
+                                              (100.0, 0.0), (100.0, np.inf)])
+def test_design_rejects_bad_scales(g_norm, detuning):
+    with pytest.raises(ValueError):
+        design_w_couplings((0.5, 0.5), g_norm, detuning)

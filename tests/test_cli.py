@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -51,14 +52,16 @@ def test_crossings_non_finite_window_exit_2(value, tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
-def test_crossings_leave_scipy_optimize_unimported(tmp_path):
-    # only optimize_g1 needs scipy.optimize; a fresh interpreter shows
-    # whether importing the package or running crossings pulls it in
+def test_closed_commands_leave_scipy_unimported(tmp_path):
+    # scipy serves only the damped propagator; a fresh interpreter shows
+    # whether importing the package or any undamped command pulls it in
     script = (
         "import sys, resonatorsim\n"
         "from resonatorsim.cli import main\n"
-        "assert main(['crossings', '--n', '3', '--out', 'c.csv']) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "for argv in (['crossings', '--n', '3'], ['evolve', '--n', '3'], ['map-g2'],\n"
+        "             ['werner'], ['optimize-g1', '--n', '5'], ['sw-verify', '--n', '3']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = os.path.dirname(os.path.dirname(resonatorsim.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -68,7 +71,7 @@ def test_crossings_leave_scipy_optimize_unimported(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_evolve_deterministic(tmp_path):
@@ -128,6 +131,35 @@ def test_bad_flag_values_exit_2(capsys):
     assert main(["optimize-g1", "--search-mhz", "80:50"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map-g2", "--ratios", "1.0", "--kappa-mhz", "nan"],
+        ["map-g2", "--ratios", "1.0", "--kappa-mhz", "inf"],
+        ["evolve", "--n", "3", "--kappa-mhz", "nan"],
+        ["evolve", "--n", "3", "--chi-t-max", "inf"],
+        ["fidelity", "--n", "3", "--chi-t-max", "inf"],
+    ],
+    ids=["map-g2-kappa-nan", "map-g2-kappa-inf", "evolve-kappa-nan", "evolve-window-inf",
+         "fidelity-window-inf"],
+)
+def test_non_finite_flag_exit_2(argv, tmp_path, capsys):
+    # numpy warnings raise here, so the value must be refused before any
+    # array is computed from it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", "x.csv"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_optimize_g1_outside_window_exit_2(tmp_path, capsys):
+    # n = 8 needs g1* = (sqrt(8) - 1) 50 MHz, past the default window 50:80
+    assert main(["optimize-g1", "--n", "8", "--out", "o.csv"]) == 2
+    assert "g1* = 91.42 MHz" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_partial_files_on_failure(tmp_path):

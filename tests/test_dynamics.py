@@ -25,7 +25,6 @@ from resonatorsim import (
     single_photon_populations,
     single_photon_populations_dm,
 )
-from resonatorsim import dynamics
 from resonatorsim.dynamics import MAX_LINDBLAD_DIM
 
 
@@ -186,13 +185,13 @@ def test_lindblad_batch_matches_single_runs():
 
 def test_lindblad_batch_one_expm_per_distinct_generator(monkeypatch):
     calls = []
-    expm = dynamics.scipy.linalg.expm
+    expm = scipy.linalg.expm
 
     def counting_expm(a):
         calls.append(a.shape)
         return expm(a)
 
-    monkeypatch.setattr(dynamics.scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
     rng = np.random.default_rng(17)
     d = 4
     h = _random_hermitian(rng, d)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,31 @@ def test_optimizer_rejects_small_n_and_bad_interval():
         optimize_g1(3)
     with pytest.raises(ValueError):
         optimize_g1(5, search_mhz=(80.0, 50.0))
+    # refused before numpy warns about an array built from the window
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for window in (np.inf, np.nan, 0.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                optimize_g1(5, chi_t_max_over_pi=window)
+
+
+def test_optimizer_closed_form_coupling():
+    # g1* = (sqrt(n) - 1) g beats every grid point of its window
+    result = optimize_g1(6, search_mhz=(60.0, 80.0), grid_points=3, chi_t_max_over_pi=0.5)
+    assert result.g1_mhz == pytest.approx((np.sqrt(6.0) - 1.0) * 50.0, rel=1.0e-15)
+    assert result.objective < np.min(result.grid_objective)
+
+
+def test_optimizer_rejects_inhomogeneous_spec():
+    spec = reference_spec(5, couplings_mhz=[50.0, 50.0, 55.0, 50.0, 50.0])
+    with pytest.raises(ValueError, match=r"coupling, got \[50.0, 55.0, 50.0, 50.0\]"):
+        optimize_g1(5, spec)
+    spec = reference_spec(5)
+    resonators = list(spec.resonators)
+    resonators[2] = dataclasses.replace(resonators[2], freq_ghz=5.8)
+    spec = dataclasses.replace(spec, resonators=tuple(resonators))
+    with pytest.raises(ValueError, match="detuning"):
+        optimize_g1(5, spec)
 
 
 def test_optimize_to_scenario_metadata():
