@@ -74,6 +74,20 @@ def test_closed_commands_leave_scipy_unimported(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_python_m_entry_point(tmp_path):
+    # `python -m resonatorsim` runs the same CLI as the console script
+    src = os.path.dirname(os.path.dirname(resonatorsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "resonatorsim", "crossings", "--n", "3"], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "0.222222" in done.stdout
+    assert (tmp_path / "crossings_n3.csv").is_file()
+
+
 def test_evolve_deterministic(tmp_path):
     args = ["evolve", "--n", "3", "--points", "30", "--chi-t-max", "0.3"]
     assert main(args + ["--out", "p1.csv"]) == 0

@@ -9,9 +9,11 @@ import scipy.linalg
 from resonatorsim import (
     PropagationError,
     TimeGrid,
+    WernerParams,
     annihilation,
     build_basis,
     build_full,
+    creation,
     derive_dispersive,
     evolve_lindblad,
     evolve_lindblad_batch,
@@ -19,11 +21,13 @@ from resonatorsim import (
     fidelity_dm,
     ideal_target,
     integrate_amplitudes,
+    number,
     reference_spec,
     shift_frame,
     single_photon_index,
     single_photon_populations,
     single_photon_populations_dm,
+    werner_initial,
 )
 from resonatorsim.dynamics import MAX_LINDBLAD_DIM
 
@@ -221,6 +225,146 @@ def test_lindblad_batch_one_expm_per_distinct_generator(monkeypatch):
     assert len(calls) == 1
 
 
+def _full_generator_reference(h, collapse, rho0, grid):
+    # scipy.linalg.expm of each entry's whole d^2 x d^2 generator, assembled
+    # term by term from vec(A X B) = kron(A, B^T) vec(X) for row-major vec
+    nbatch, d = rho0.shape[:2]
+    h = np.broadcast_to(h, (nbatch, d, d))
+    eye = np.eye(d)
+    dt = grid.span / (grid.points - 1)
+    out = np.empty((grid.points, nbatch, d, d), dtype=complex)
+    for b in range(nbatch):
+        gen = -1j * (np.kron(h[b], eye) - np.kron(eye, h[b].T))
+        for rate, op in collapse:
+            kappa = np.broadcast_to(rate, (nbatch,))[b]
+            n_op = op.conj().T @ op
+            gen = gen + kappa * (
+                np.kron(op, op.conj()) - 0.5 * np.kron(n_op, eye) - 0.5 * np.kron(eye, n_op.T)
+            )
+        step = scipy.linalg.expm(gen * dt)
+        vec = rho0[b].reshape(-1).astype(complex)
+        for k in range(grid.points):
+            out[k, b] = vec.reshape(d, d)
+            vec = step @ vec
+    return out
+
+
+def _recorded_run(monkeypatch, h, collapse, rho0, grid):
+    # the propagator's trajectory and the shapes of the matrices it exponentiated
+    shapes = []
+    expm = scipy.linalg.expm
+
+    def recording_expm(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "expm", recording_expm)
+        states = evolve_lindblad_batch(h, collapse, rho0, grid).states
+    return states, shapes
+
+
+def _sector_mask(basis, allowed):
+    # entries (i, j) of rho whose photon numbers (N_i, N_j) are in allowed
+    photons = [sum(occ) for occ in basis.states]
+    return np.array([[(a, b) in allowed for b in photons] for a in photons])
+
+
+@pytest.mark.parametrize("points", [2, 3, 7])
+def test_lindblad_werner_batch_exponentiates_occupied_sectors(monkeypatch, points):
+    # Werner states occupy the diagonal photon-number blocks of sectors 0..3
+    # (1 + 16 + 36 + 16 = 69 entries of 225); h conserves the photon number
+    # and decay only lowers it, so nothing else is ever reached
+    spec = reference_spec(3)
+    basis = build_basis(4, cutoff=1, excitation_cap=3)
+    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    rho0 = np.stack([
+        werner_initial(WernerParams(p, np.pi * th), basis)
+        for th in (0.0, 0.25) for p in (0.0, 0.6, 1.0)
+    ])
+    ops = [(0.7, annihilation(basis, 0))] + [(0.2, annihilation(basis, m)) for m in (1, 2, 3)]
+    t_star = (2.0 * np.pi / 9.0) / derive_dispersive(spec).chi_homogeneous
+    grid = TimeGrid(0.0, t_star, points)
+
+    states, shapes = _recorded_run(monkeypatch, h, ops, rho0, grid)
+    assert shapes == [(69, 69)]
+    live = _sector_mask(basis, {(k, k) for k in range(4)})
+    assert live.sum() == 69
+    assert np.all(states[:, :, ~live] == 0)
+    expected = _full_generator_reference(h, ops, rho0, grid)
+    np.testing.assert_allclose(states, expected, rtol=0, atol=1.0e-12)
+
+
+@pytest.mark.parametrize("points", [2, 3, 7])
+def test_lindblad_single_photon_batch_exponentiates_17_entries(monkeypatch, points):
+    # one photon in R1 of the n = 3 network: the one-photon block (4 x 4)
+    # and the vacuum population that decay feeds, one generator per rate
+    spec = reference_spec(3)
+    basis = build_basis(4, cutoff=1, excitation_cap=1)
+    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    psi0 = np.zeros(basis.dim, dtype=complex)
+    psi0[single_photon_index(basis, 1)] = 1.0
+    rho0 = np.stack([np.outer(psi0, psi0.conj())] * 3)
+    rates = np.array([0.0, 0.25, 0.5])
+    ops = [(rates, annihilation(basis, m)) for m in range(4)]
+    grid = TimeGrid(0.0, 0.05, points)
+
+    states, shapes = _recorded_run(monkeypatch, h, ops, rho0, grid)
+    assert shapes == [(17, 17)] * 3
+    live = _sector_mask(basis, {(0, 0), (1, 1)})
+    assert np.all(states[:, :, ~live] == 0)
+    expected = _full_generator_reference(h, ops, rho0, grid)
+    np.testing.assert_allclose(states, expected, rtol=0, atol=1.0e-12)
+
+
+@pytest.mark.parametrize("points", [2, 3, 7])
+def test_lindblad_full_rank_state_exponentiates_everything(monkeypatch, points):
+    # a dense h and a full-rank rho0 occupy every entry: the block is the
+    # whole generator
+    rng = np.random.default_rng(29)
+    d = 5
+    h = _random_hermitian(rng, d)
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho0 = np.stack([_random_density(rng, d) for _ in range(2)])
+    grid = TimeGrid(0.0, 0.8, points)
+
+    states, shapes = _recorded_run(monkeypatch, h, [(0.6, op)], rho0, grid)
+    assert shapes == [(d * d, d * d)]
+    expected = _full_generator_reference(h, [(0.6, op)], rho0, grid)
+    np.testing.assert_allclose(states, expected, rtol=0, atol=1.0e-12)
+
+
+@pytest.mark.parametrize("points", [2, 3, 7])
+def test_lindblad_raising_and_dephasing_collapse(monkeypatch, points):
+    # a raising jump carries the one-photon block into the two-photon block
+    # and a number-operator jump dephases within each; coherences between
+    # sectors stay exactly zero (9 + 9 = 18 of 49 entries)
+    basis = build_basis(3, cutoff=1, excitation_cap=2)
+    a = [annihilation(basis, m) for m in range(3)]
+    h = 1.3 * (a[0].conj().T @ a[1] + a[1].conj().T @ a[2])
+    h = h + h.conj().T + 0.4 * number(basis, 1) - 0.2 * number(basis, 2)
+    psi0 = np.zeros(basis.dim, dtype=complex)
+    psi0[single_photon_index(basis, 0)] = 0.6
+    psi0[single_photon_index(basis, 2)] = 0.8j
+    rho0 = np.outer(psi0, psi0.conj())[None]
+    ops = [(0.5, creation(basis, 1)), (0.9, number(basis, 2))]
+    grid = TimeGrid(0.2, 1.4, points)
+
+    states, shapes = _recorded_run(monkeypatch, h, ops, rho0, grid)
+    live = _sector_mask(basis, {(1, 1), (2, 2)})
+    assert live.sum() == 18
+    assert shapes == [(18, 18)]
+    assert np.all(states[:, :, ~live] == 0)
+    assert states[-1, 0][live & ~_sector_mask(basis, {(1, 1)})].any()
+    expected = _full_generator_reference(h, ops, rho0, grid)
+    np.testing.assert_allclose(states, expected, rtol=0, atol=1.0e-12)
+
+
+def test_lindblad_empty_batch_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        evolve_lindblad_batch(np.zeros((3, 3)), [], np.zeros((0, 3, 3)), TimeGrid(0.0, 1.0, 2))
+
+
 def test_non_finite_inputs_rejected():
     rng = np.random.default_rng(23)
     d = 3
@@ -302,6 +446,10 @@ def test_reduced_amplitude_ode_detuned_network():
     psi0[single_photon_index(basis, 1)] = 1.0
     full = evolve_unitary(h, psi0, grid)
     p_full = single_photon_populations(full.states, basis, 3)
-    # the reduced model is exact only to second order in g/Delta; the drift
-    # over this window measures ~0.026 at g/Delta = 0.05
+    # the drift over this window, ~0.026, comes from the sign of
+    # derive_dispersive: it takes omega + g^2/Delta and +chi where the ab
+    # initio Hamiltonian gives omega - g^2/Delta and -chi.  The correctly
+    # signed reduced model misses by ~0.008, the second-order error proper.
+    # atol stays 0.04 until the sign and the benchmark oracle that shares it
+    # are corrected together
     np.testing.assert_allclose(np.abs(reduced.states) ** 2, p_full, atol=0.04)
