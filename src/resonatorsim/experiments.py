@@ -10,6 +10,13 @@ where chi is the bus-mediated hopping rate of the last resonator pair of
 the base system; fixed-time quantities are evaluated at the first
 equal-population instant of the homogeneous n-resonator network, with the
 comparison state pinned there (shorter operation times suffer less decay).
+
+The single-photon scenarios damp every mode at one rate kappa under a
+Hamiltonian that only hops the photon (basis capped at one excitation), so
+the one-photon block evolves as exp(-kappa t / 2) exp(-i h t) and every
+jump lands in vacuum: damped populations and fidelities are exactly
+exp(-kappa t) times the unitary ones.  Only the Werner sweep (up to three
+photons, rates per mode from the spec) runs the master equation.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .observables import (
     fidelity_pure_target,
     ideal_target,
     single_photon_populations,
-    single_photon_populations_dm,
     werner_initial,
 )
 
@@ -118,8 +124,8 @@ def scenario_population(
     """Per-resonator populations along time: closed form vs ab initio.
 
     Columns: chi_t_over_pi, p_analytic_j, p_abinitio_j and, when
-    with_kappa_mhz is given, p_damped_j from the master equation with that
-    uniform decay rate on every mode.
+    with_kappa_mhz is given, p_damped_j with that decay rate on every mode,
+    which is exp(-kappa t) p_abinitio_j.
     """
     spec, chi = _homogeneous(spec, n)
     if with_kappa_mhz is not None:
@@ -141,12 +147,9 @@ def scenario_population(
     for j in range(n):
         columns[f"p_abinitio_{j + 1}"] = p_abinitio[:, j]
     if with_kappa_mhz is not None:
-        ops = [(float(with_kappa_mhz), annihilation(basis, m)) for m in range(n + 1)]
-        rho0 = np.outer(psi0, psi0.conj())[None]
-        damped = evolve_lindblad_batch(h, ops, rho0, grid)
-        p_damped = single_photon_populations_dm(damped.states[:, 0], basis, n)
+        envelope = np.exp(-with_kappa_mhz * grid.times)
         for j in range(n):
-            columns[f"p_damped_{j + 1}"] = p_damped[:, j]
+            columns[f"p_damped_{j + 1}"] = envelope * p_abinitio[:, j]
 
     meta = _base_metadata(f"population_n{n}", spec, chi)
     meta["grid"] = {"chi_t_max_over_pi": chi_t_max_over_pi, "points": points}
@@ -162,30 +165,24 @@ def sweep_fidelity_vs_time(
     points: int = DEFAULT_POINTS,
 ) -> ScenarioResult:
     """Fidelity against the pinned first-crossing target versus time, one
-    master-equation run per decay rate (all modes damped equally)."""
+    column per decay rate (all modes damped equally): exp(-kappa t) times
+    the unitary fidelity."""
     spec, chi = _homogeneous(spec, n)
     kappas = [float(k) for k in kappas_mhz]
-    if any(k < 0 for k in kappas):
-        raise ValueError(f"decay rates must be nonnegative, got {kappas}")
+    _require_rate(*kappas)
 
     chi_t_star = first_crossing_chi_t(n)
     basis = build_basis(n + 1, cutoff=1, excitation_cap=1)
     h = _frame_hamiltonian(spec, basis)
     target = ideal_target(n, chi_t_star, basis)
     psi0 = _single_photon_state(basis, mode=1)
-    rho0 = np.broadcast_to(
-        np.outer(psi0, psi0.conj()), (len(kappas), basis.dim, basis.dim)
-    ).copy()
-    rates = np.array(kappas)
-    ops = [(rates, annihilation(basis, m)) for m in range(n + 1)]
     grid = TimeGrid(0.0, np.pi * chi_t_max_over_pi / chi, points)
     x = np.linspace(0.0, chi_t_max_over_pi, points)
-    traj = evolve_lindblad_batch(h, ops, rho0, grid)
-    fid = fidelity_dm(traj.states, target)
+    fid = fidelity_pure_target(evolve_unitary(h, psi0, grid).states, target)
 
     columns: dict = {"chi_t_over_pi": x}
-    for i, k in enumerate(kappas):
-        columns[f"f_kappa_{k:g}mhz"] = fid[:, i]
+    for k in kappas:
+        columns[f"f_kappa_{k:g}mhz"] = np.exp(-k * grid.times) * fid
     meta = _base_metadata(f"fidelity_vs_time_n{n}", spec, chi)
     meta["grid"] = {"chi_t_max_over_pi": chi_t_max_over_pi, "points": points}
     meta["kappas_mhz"] = kappas
@@ -200,13 +197,8 @@ def sweep_fidelity_map_g2(
     kappa_mhz: float = 0.10,
 ) -> ScenarioResult:
     """Fidelity map over (second-resonator coupling ratio, operation time)
-    for the three-resonator network at one uniform decay rate.
-
-    With every mode damped at the same kappa the damped fidelity factorizes
-    exactly into exp(-kappa t) times the unitary fidelity, so each map
-    column costs one diagonalization; the equivalence with the
-    master-equation propagator is covered by tests.
-    """
+    for the three-resonator network at one uniform decay rate: each column
+    is one diagonalization's unitary fidelity times exp(-kappa t)."""
     spec, chi = _homogeneous(spec, 3)
     _require_rate(kappa_mhz)
     ratios = (
@@ -215,6 +207,8 @@ def sweep_fidelity_map_g2(
     x = (
         np.arange(0.05, 1.3001, 0.005) if chi_t_over_pi is None else np.asarray(chi_t_over_pi, float)
     )
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"operation times chi*t/pi must be finite, got {x.tolist()}")
     times = np.pi * x / chi
     chi_t_star = first_crossing_chi_t(3)
     basis = build_basis(4, cutoff=1, excitation_cap=1)
@@ -248,13 +242,15 @@ def sweep_gm(
 ) -> ScenarioResult:
     """Fidelity at the pinned operation time versus the ratio g/G_M of bus
     coupling to direct nearest-neighbour coupling; infinite ratio means no
-    direct coupling and serves as the baseline."""
+    direct coupling and serves as the baseline.  One column per decay rate
+    (all modes damped equally): exp(-kappa t) times the unitary fidelity."""
     spec, chi = _homogeneous(spec, 3)
     g_mhz = spec.resonators[0].g_mhz
     ratios = [float(r) for r in ratios]
     if any(r <= 0 for r in ratios):
         raise ValueError(f"coupling ratios must be positive, got {ratios}")
     kappas = [float(k) for k in kappas_mhz]
+    _require_rate(*kappas)
     gm_values = [0.0 if math.isinf(r) else g_mhz / r for r in ratios]
 
     chi_t_star = first_crossing_chi_t(3)
@@ -262,24 +258,17 @@ def sweep_gm(
     basis = build_basis(4, cutoff=1, excitation_cap=1)
     target = ideal_target(3, chi_t_star, basis)
     psi0 = _single_photon_state(basis, mode=1)
-
-    h_list = [_frame_hamiltonian(replace(spec, gm_mhz=gm), basis) for gm in gm_values]
-    nbatch = len(ratios) * len(kappas)
-    hbatch = np.stack([h for h in h_list for _ in kappas])
-    rho0 = np.broadcast_to(
-        np.outer(psi0, psi0.conj()), (nbatch, basis.dim, basis.dim)
-    ).copy()
-    rates = np.array([k for _ in ratios for k in kappas])
-    ops = [(rates, annihilation(basis, m)) for m in range(4)]
-    traj = evolve_lindblad_batch(hbatch, ops, rho0, TimeGrid(0.0, t_star, 2))
-    fid = fidelity_dm(traj.states[-1], target).reshape(len(ratios), len(kappas))
+    grid = TimeGrid(0.0, t_star, 2)
+    hs = [_frame_hamiltonian(replace(spec, gm_mhz=gm), basis) for gm in gm_values]
+    final = np.array([evolve_unitary(h, psi0, grid).states[-1] for h in hs])
+    fid = fidelity_pure_target(final, target)
 
     columns: dict = {
         "g_over_gm": np.array(ratios),
         "gm_mhz": np.array(gm_values),
     }
-    for i, k in enumerate(kappas):
-        columns[f"f_kappa_{k:g}mhz"] = fid[:, i]
+    for k in kappas:
+        columns[f"f_kappa_{k:g}mhz"] = np.exp(-k * t_star) * fid
     meta = _base_metadata("gm_sweep", spec, chi)
     meta["ratios_g_over_gm"] = ratios
     meta["kappas_mhz"] = kappas
@@ -459,9 +448,12 @@ def _require_n(spec: SystemSpec, n: int) -> None:
         raise ValueError(f"spec has {spec.n} resonators but the scenario needs {n}")
 
 
-def _require_rate(kappa_mhz: float) -> None:
-    if not (math.isfinite(kappa_mhz) and kappa_mhz >= 0):
-        raise ValueError(f"decay rate must be finite and nonnegative, got {kappa_mhz}")
+def _require_rate(*kappas_mhz: float) -> None:
+    if not kappas_mhz:
+        raise ValueError("no decay rate given")
+    for kappa in kappas_mhz:
+        if not (math.isfinite(kappa) and kappa >= 0):
+            raise ValueError(f"decay rate must be finite and nonnegative, got {kappa}")
 
 
 def _homogeneous(spec: SystemSpec | None, n: int) -> tuple[SystemSpec, float]:

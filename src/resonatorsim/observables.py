@@ -91,6 +91,8 @@ class WernerParams:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"mixture weight p must be in [0, 1], got {self.p}")
+        if not np.isfinite(self.theta):
+            raise ValueError(f"overlap angle theta must be finite, got {self.theta}")
 
 
 def werner_initial(params: WernerParams, basis: FockBasis) -> np.ndarray:

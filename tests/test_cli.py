@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import resonatorsim
-from resonatorsim import dynamics, reference_spec, spec_to_dict
+from resonatorsim import derive_dispersive, dynamics, reference_spec, spec_to_dict
 from resonatorsim.cli import main
 
 
@@ -53,13 +53,16 @@ def test_crossings_non_finite_window_exit_2(value, tmp_path, capsys):
 
 
 def test_closed_commands_leave_scipy_unimported(tmp_path):
-    # scipy serves only the damped propagator; a fresh interpreter shows
-    # whether importing the package or any undamped command pulls it in
+    # scipy serves only the master equation, which only the damped Werner
+    # sweep runs; a fresh interpreter shows whether importing the package or
+    # any other command, damped single-photon runs included, pulls it in
     script = (
         "import sys, resonatorsim\n"
         "from resonatorsim.cli import main\n"
         "for argv in (['crossings', '--n', '3'], ['evolve', '--n', '3'], ['map-g2'],\n"
-        "             ['werner'], ['optimize-g1', '--n', '5'], ['sw-verify', '--n', '3']):\n"
+        "             ['werner'], ['optimize-g1', '--n', '5'], ['sw-verify', '--n', '3'],\n"
+        "             ['evolve', '--n', '3', '--kappa-mhz', '0.5'], ['fidelity', '--n', '3'],\n"
+        "             ['gm-sweep']):\n"
         "    assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
@@ -139,12 +142,16 @@ def test_non_finite_config_exit_2(tmp_path, capsys):
     assert not (tmp_path / "sw.json").exists()
 
 
-def test_bad_flag_values_exit_2(capsys):
+def test_bad_flag_values_exit_2(tmp_path, capsys):
     assert main(["fidelity", "--kappas-mhz", "0,oops"]) == 2
     assert main(["optimize-g1", "--search-mhz", "5080"]) == 2
     assert main(["optimize-g1", "--search-mhz", "80:50"]) == 2
+    assert main(["gm-sweep", "--kappas-mhz", "-1", "--out", "gm.csv"]) == 2
+    assert main(["fidelity", "--kappas-mhz", "-0.1", "--out", "f.csv"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 3
+    assert err.count("error:") == 5
+    assert err.count("decay rate must be finite and nonnegative") == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -237,15 +244,27 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-def test_lindblad_dimension_limit_exit_2(monkeypatch, capsys):
-    # the limit lowered below the five states of n = 3
+def test_lindblad_dimension_limit_exit_2(tmp_path, monkeypatch, capsys):
+    # the damped Werner sweep is the CLI's one master-equation run; the
+    # limit is lowered below its 15-state basis
+    cfg = tmp_path / "damped.json"
+    cfg.write_text(json.dumps(spec_to_dict(reference_spec(3, kappa_mhz=0.5))), encoding="utf-8")
     monkeypatch.setattr(dynamics, "MAX_LINDBLAD_DIM", 4)
-    assert main(["evolve", "--n", "3", "--kappa-mhz", "0.5", "--out", "p.csv"]) == 2
+    assert main(["werner", "--config", str(cfg), "--out", "w.csv"]) == 2
     assert "limit of 4" in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
 
 
-def test_lindblad_dimension_limit_real_basis_exit_2(tmp_path, capsys):
-    # n = 40 gives a 42-state basis, past the unpatched limit
-    assert main(["evolve", "--n", "40", "--kappa-mhz", "0.5", "--out", "p.csv"]) == 2
-    assert f"limit of {dynamics.MAX_LINDBLAD_DIM}" in capsys.readouterr().err
-    assert not (tmp_path / "p.csv").exists()
+def test_evolve_damped_large_n(tmp_path):
+    # n = 40 gives a 42-state basis, past the master equation's limit; the
+    # damped populations are the exact envelope exp(-kappa t) of ab initio
+    assert main(["evolve", "--n", "40", "--kappa-mhz", "0.5", "--points", "50",
+                 "--out", "p.csv"]) == 0
+    header = (tmp_path / "p.csv").read_text(encoding="utf-8").splitlines()[0].split(",")
+    table = np.loadtxt(tmp_path / "p.csv", delimiter=",", skiprows=1)
+    col = dict(zip(header, table.T))
+    t = np.pi * col["chi_t_over_pi"] / derive_dispersive(reference_spec(40)).chi_homogeneous
+    for j in (1, 2, 40):
+        np.testing.assert_allclose(
+            col[f"p_damped_{j}"], np.exp(-0.5 * t) * col[f"p_abinitio_{j}"], rtol=1e-11, atol=1e-15
+        )

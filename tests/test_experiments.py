@@ -23,6 +23,7 @@ from resonatorsim import (
     scenario_population,
     shift_frame,
     single_photon_index,
+    single_photon_populations_dm,
     sweep_fidelity_map_g2,
     sweep_fidelity_vs_time,
     sweep_gm,
@@ -95,31 +96,79 @@ def test_fidelity_sweep_kappa_zero_peak():
     col = res.columns["f_kappa_0mhz"]
     assert np.max(col) > 0.995
     assert res.metadata["chi_t_star_over_pi"] == pytest.approx(2.0 / 9.0, abs=1.0e-6)
-    with pytest.raises(ValueError):
-        sweep_fidelity_vs_time(3, kappas_mhz=[-0.1])
+    # rates are refused before any array is built, an empty list included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([-0.1], [], [np.nan], [0.5, np.inf]):
+            with pytest.raises(ValueError, match="decay rate"):
+                sweep_fidelity_vs_time(3, kappas_mhz=bad)
+            with pytest.raises(ValueError, match="decay rate"):
+                sweep_gm(kappas_mhz=bad)
+
+
+def _master_equation(spec, kappa, t_end, points=2):
+    """Reference damped run from one photon in resonator 1, with collapse
+    a_m at kappa on all n + 1 modes: basis and density matrices on the grid."""
+    basis = build_basis(spec.n + 1, cutoff=1, excitation_cap=1)
+    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    psi0 = np.zeros(basis.dim, dtype=complex)
+    psi0[single_photon_index(basis, 1)] = 1.0
+    ops = [(kappa, annihilation(basis, m)) for m in range(spec.n + 1)]
+    grid = TimeGrid(0.0, t_end, points)
+    return basis, evolve_lindblad(h, ops, np.outer(psi0, psi0.conj()), grid).states
 
 
 def test_map_factorization_matches_master_equation():
-    # the map computes exp(-kappa t) * unitary fidelity; cross-check one cell
-    # against the master-equation propagator
-    kappa = 0.10
+    # the map and the damped columns of the population, fidelity and gm
+    # scenarios are exp(-kappa t) times unitary results; each is checked
+    # against the master equation with every mode damped at kappa
+    chi = derive_dispersive(reference_spec(3)).chi_homogeneous
+    chi_t_star = first_crossing_chi_t(3)
     xs = [0.10, 0.22]
-    res = sweep_fidelity_map_g2(g2_ratios=[0.8], chi_t_over_pi=xs, kappa_mhz=kappa)
+    res = sweep_fidelity_map_g2(g2_ratios=[0.8], chi_t_over_pi=xs, kappa_mhz=0.10)
     spec = _with_coupling(reference_spec(3), 1, 40.0)
-    model = derive_dispersive(reference_spec(3))
-    chi = model.chi_homogeneous
-    basis = build_basis(4, cutoff=1, excitation_cap=1)
-    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
-    target = ideal_target(3, first_crossing_chi_t(3), basis)
-    psi0 = np.zeros(basis.dim, dtype=complex)
-    psi0[single_photon_index(basis, 1)] = 1.0
-    ops = [(kappa, annihilation(basis, m)) for m in range(4)]
     for i, x in enumerate(xs):
-        traj = evolve_lindblad(
-            h, ops, np.outer(psi0, psi0.conj()), TimeGrid(0.0, np.pi * x / chi, 2)
-        )
-        f_me = fidelity_dm(traj.states[-1], target)
-        assert res.columns["f_g2_0.8"][i] == pytest.approx(f_me, abs=1.0e-6)
+        basis, rho = _master_equation(spec, 0.10, np.pi * x / chi)
+        f_me = fidelity_dm(rho[-1], ideal_target(3, chi_t_star, basis))
+        np.testing.assert_allclose(res.columns["f_g2_0.8"][i], f_me, rtol=0, atol=1e-12)
+
+    for n in (3, 4):
+        spec = reference_spec(n)
+        chi_n = derive_dispersive(spec).chi_homogeneous
+        res = scenario_population(n, with_kappa_mhz=0.5, chi_t_max_over_pi=1.3, points=7)
+        times = np.pi * res.columns["chi_t_over_pi"] / chi_n
+        basis, rho = _master_equation(spec, 0.5, times[-1], len(times))
+        p_me = single_photon_populations_dm(rho, basis, n)
+        for j in range(n):
+            np.testing.assert_allclose(
+                res.columns[f"p_damped_{j + 1}"], p_me[:, j], rtol=0, atol=1e-12
+            )
+
+        res = sweep_fidelity_vs_time(n, kappas_mhz=(0.25, 2.0), chi_t_max_over_pi=1.3, points=7)
+        target = ideal_target(n, first_crossing_chi_t(n), basis)
+        for kappa in (0.25, 2.0):
+            _, rho = _master_equation(spec, kappa, times[-1], len(times))
+            np.testing.assert_allclose(
+                res.columns[f"f_kappa_{kappa:g}mhz"], fidelity_dm(rho, target), rtol=0, atol=1e-12
+            )
+
+    # a finite g/G_M adds direct hopping, which the envelope argument covers
+    res = sweep_gm(ratios=[np.inf, 5.0], kappas_mhz=[0.5, 3.0])
+    t_star = res.metadata["operation_time_us"]
+    for i, gm in enumerate(res.columns["gm_mhz"]):
+        assert gm == (0.0 if i == 0 else 10.0)
+        spec = dataclasses.replace(reference_spec(3), gm_mhz=gm)
+        for kappa in (0.5, 3.0):
+            basis, rho = _master_equation(spec, kappa, t_star)
+            f_me = fidelity_dm(rho[-1], ideal_target(3, chi_t_star, basis))
+            np.testing.assert_allclose(
+                res.columns[f"f_kappa_{kappa:g}mhz"][i], f_me, rtol=0, atol=1e-12
+            )
+    # non-finite operation times are refused before any array is built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            sweep_fidelity_map_g2(g2_ratios=[1.0], chi_t_over_pi=[0.1, np.nan])
 
 
 def test_gm_sweep_infinite_ratio_is_baseline():

@@ -1,5 +1,7 @@
 """Populations, fidelities, target states, and Werner-type initial states."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from resonatorsim import (
     single_photon_index,
     single_photon_populations,
     single_photon_populations_dm,
+    sweep_werner,
     vacuum_index,
     werner_initial,
 )
@@ -98,6 +101,14 @@ def test_werner_params_validation():
         WernerParams(-0.1, 0.0)
     with pytest.raises(ValueError):
         WernerParams(1.2, 0.0)
+    # a non-finite angle is refused before cos/sin turn it into NaN fidelities
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                WernerParams(0.5, theta)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            sweep_werner(p_grid=[0.5], thetas_pi=[np.nan])
 
 
 def test_werner_state_properties():
