@@ -6,27 +6,40 @@
 For every workload and seed it runs `bench/run.py --trace 0` once in each
 checkout, for the `run_seconds` of BENCHMARK.json, alternating which side
 goes first from one pair to the next, and reads the end-to-end metrics
-from the last line of its output.  It writes
-BENCH_<pr>.json in the current directory: per workload and metric, each
-side's median and quartiles (and the raw values), the number of pairs the
-change won (ties count for neither side), the relative change of the
-medians and the parent's interquartile range, together with both git SHAs
-(commit and src/ tree), the settings and the environment stamp of the first
-run on each side.  Which direction is better is read from the change's
-BENCHMARK.json.  Exits 1 when a run fails or reports incorrect outputs.
+from the last line of its output.  Then, once per seed and in the same
+alternating order, it times two commands on each side, each run as
+`python -m resonatorsim` from a fresh working directory: `all` and the
+`crossings --n 3` cold start.  It writes BENCH_<pr>.json in the current
+directory: per workload and metric, and per CLI command (wall seconds,
+under "cli"), each side's median and quartiles (and the raw values), the
+number of pairs the change won (ties count for neither side), the relative
+change of the medians and the parent's interquartile range, together with
+both git SHAs (commit and src/ tree), the settings and the environment
+stamp of the first run on each side.  Which direction is better is read
+from the change's BENCHMARK.json.  Exits 1 when a run fails or reports
+incorrect outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+#: CLI commands timed end to end, by the name of their wall-time entry
+CLI_COMMANDS = {
+    "all_s": ["all", "--outdir", "results"],
+    "crossings_n3_s": ["crossings", "--n", "3"],
+}
 
 
 def main(argv=None) -> int:
@@ -65,19 +78,35 @@ def main(argv=None) -> int:
             print(f"{w} seed={seed}: parent pass_s {values[w]['parent']['pass_s'][-1]:.4f}, "
                   f"change pass_s {values[w]['change']['pass_s'][-1]:.4f}", flush=True)
 
+    cli = {side: {name: [] for name in CLI_COMMANDS} for side in SIDES}
+    for i in range(len(seeds)):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            for name, argv in CLI_COMMANDS.items():
+                wall = _time_cli(dirs[side], argv)
+                if wall is None:
+                    return 1
+                cli[side][name].append(wall)
+        print(f"cli pair {i + 1}: " + ", ".join(
+            f"{name} {cli['parent'][name][-1]:.3f} / {cli['change'][name][-1]:.3f}"
+            for name in CLI_COMMANDS), flush=True)
+
     summary = {
         "settings": {"workloads": workloads, "seeds": seeds, "seconds": seconds,
-                     "command": "bench/run.py --trace 0", "order": "alternating per pair"},
+                     "command": "bench/run.py --trace 0", "order": "alternating per pair",
+                     "cli_commands": {name: ["python", "-m", "resonatorsim", *argv]
+                                      for name, argv in CLI_COMMANDS.items()}},
         "git_sha": {side: _git_sha(dirs[side]) for side in SIDES},
         "environment": environment,
         "workloads": {w: {m: _compare(values[w]["parent"][m], values[w]["change"][m], better[m])
                           for m in better} for w in workloads},
+        "cli": {name: _compare(cli["parent"][name], cli["change"][name], "lower")
+                for name in CLI_COMMANDS},
     }
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
-    for w in workloads:
-        for m, row in summary["workloads"][w].items():
-            print(f"{w} {m}: {row['parent']['median']:.4g} -> {row['change']['median']:.4g} "
+    for group, rows in [*summary["workloads"].items(), ("cli", summary["cli"])]:
+        for m, row in rows.items():
+            print(f"{group} {m}: {row['parent']['median']:.4g} -> {row['change']['median']:.4g} "
                   f"({row['median_change']:+.1%}), change better in {row['wins']}/{row['pairs']}")
     print(f"wrote {out}")
     return 0
@@ -108,6 +137,25 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float):
         return None, None
     found = re.search(r"record: (\S+)$", lines[-2]) if len(lines) > 1 else None
     return result, (checkout / found.group(1) if found else None)
+
+
+def _time_cli(checkout: Path, argv: list[str]):
+    """Wall seconds of `python -m resonatorsim ARGV` run from the checkout's
+    src/ in a fresh directory, or None when it fails."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"),
+                                                      env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "resonatorsim", *argv]
+    with tempfile.TemporaryDirectory() as workdir:
+        start = time.perf_counter()
+        done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True,
+                              timeout=600)
+        wall = time.perf_counter() - start
+    if done.returncode != 0:
+        print(f"error: {' '.join(cmd)} from {checkout} exited {done.returncode}:\n"
+              f"{done.stderr[-2000:]}", file=sys.stderr)
+        return None
+    return wall
 
 
 def _quartiles(values: list[float]) -> dict:

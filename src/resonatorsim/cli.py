@@ -1,15 +1,18 @@
 """Command-line interface: one subcommand per scenario, plus identity
-verification and an `all` target that chains everything for CI.
+verification and an `all` target that runs the subcommands of its table
+`_ALL_RUNS` into one directory, each exactly as the command line would.
 
 Contract: every successful run writes its outputs atomically together with
 a JSON run manifest (command, flags, config, output list, status); identical
-invocations produce byte-identical files.  Exit codes: 0 success, 1 runtime
-or verification failure, 2 bad flags or config.
+invocations produce byte-identical files, and all.manifest.json lists the
+outputs of `all`'s runs.  Exit codes: 0 success, 1 runtime or verification
+failure, 2 bad flags or config.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
@@ -40,14 +43,32 @@ from .model import derive_dispersive, load_spec
 SW_R1_BOUND = 1.0e-10
 SW_DRIFT_BOUND = 1.0e-10
 
+#: the runs `all` stands for: subcommand argv and output file name in --outdir
+_ALL_RUNS = (
+    (["evolve", "--n", "3", "--kappa-mhz", "0.5"], "population_n3.csv"),
+    (["fidelity", "--n", "3"], "fidelity_n3.csv"),
+    (["crossings", "--n", "3"], "crossings_n3.csv"),
+    (["evolve", "--n", "4", "--kappa-mhz", "0.5"], "population_n4.csv"),
+    (["fidelity", "--n", "4"], "fidelity_n4.csv"),
+    (["crossings", "--n", "4"], "crossings_n4.csv"),
+    (["optimize-g1", "--n", "5"], "optimize_g1_n5.csv"),
+    (["gm-sweep"], "gm_sweep.csv"),
+    (["werner"], "werner_sweep.csv"),
+    (["map-g2"], "fidelity_map_g2.csv"),
+    (["sw-verify", "--n", "3"], "sw_verify.json"),
+)
+
 
 class UsageError(Exception):
     """Bad flags or config; maps to exit code 2."""
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    return _run(_build_parser().parse_args(argv))
+
+
+def _run(args) -> int:
+    """Run a parsed command; bad input exits 2, a failed propagation 1."""
     try:
         return args.handler(args)
     except (UsageError, ValueError) as exc:
@@ -135,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_sw_verify)
 
-    p = sub.add_parser("all", help="run every scenario into one directory")
+    p = sub.add_parser("all", help="run every scenario subcommand into one directory")
     p.add_argument("--outdir", default="results")
     p.set_defaults(handler=_cmd_all)
     return parser
@@ -162,36 +183,25 @@ def _cmd_evolve(args) -> int:
         chi_t_max_over_pi=chi_t_max,
         points=args.points,
     )
-    files = _emit(args, res, f"population_n{args.n}.csv")
-    print(f"population_n{args.n}: {res.rows} rows -> {files[0]}")
+    _emit(args, res, f"population_n{args.n}.csv")
     return 0
 
 
 def _cmd_crossings(args) -> int:
-    res = _crossings_result(args.n, args.chi_t_max)
-    roots = res.columns["chi_t_over_pi"]
-    if len(roots):
-        print("chi*t/pi: " + ", ".join(f"{r:g}" for r in np.round(roots, 6)))
-    else:
-        print(f"no equal-population times for n={args.n} up to chi*t/pi = {args.chi_t_max:g}")
-    files = _emit(args, res, f"crossings_n{args.n}.csv")
-    print(f"crossings_n{args.n}: {res.rows} rows -> {files[0]}")
-    return 0
-
-
-def _crossings_result(n: int, chi_t_max_over_pi: float) -> ScenarioResult:
-    roots = find_w_crossings(n, np.pi * chi_t_max_over_pi)
+    n = args.n
+    roots = find_w_crossings(n, np.pi * args.chi_t_max)
     pops = np.abs(amplitude_grid(n, roots)) ** 2 if len(roots) else np.zeros((0, n))
     columns: dict = {"chi_t_over_pi": roots / np.pi}
     for j in range(n):
         columns[f"p_{j + 1}"] = pops[:, j]
-    meta = {
-        "name": f"crossings_n{n}",
-        "n": n,
-        "chi_t_max_over_pi": chi_t_max_over_pi,
-        "version": __version__,
-    }
-    return ScenarioResult(meta["name"], columns, meta)
+    meta = {"name": f"crossings_n{n}", "n": n, "chi_t_max_over_pi": args.chi_t_max,
+            "version": __version__}
+    if len(roots):
+        print("chi*t/pi: " + ", ".join(f"{r:g}" for r in np.round(roots / np.pi, 6)))
+    else:
+        print(f"no equal-population times for n={n} up to chi*t/pi = {args.chi_t_max:g}")
+    _emit(args, ScenarioResult(meta["name"], columns, meta), f"crossings_n{n}.csv")
+    return 0
 
 
 def _cmd_fidelity(args) -> int:
@@ -202,13 +212,12 @@ def _cmd_fidelity(args) -> int:
         chi_t_max_over_pi=args.chi_t_max,
         points=args.points,
     )
-    files = _emit(args, res, f"fidelity_n{args.n}.csv")
+    _emit(args, res, f"fidelity_n{args.n}.csv")
     x = res.columns["chi_t_over_pi"]
     for k in kappas:
         col = res.columns[f"f_kappa_{k:g}mhz"]
         i = int(np.argmax(col))
         print(f"kappa {k:g} MHz: peak fidelity {col[i]:.4f} at chi*t/pi = {x[i]:.3f}")
-    print(f"fidelity_n{args.n}: {res.rows} rows -> {files[0]}")
     return 0
 
 
@@ -217,11 +226,10 @@ def _cmd_optimize_g1(args) -> int:
     search = _parse_interval(args.search_mhz, "--search-mhz")
     result = optimize_g1(args.n, spec, search)
     res = optimize_to_scenario(result, args.n, spec)
-    files = _emit(args, res, f"optimize_g1_n{args.n}.csv")
+    _emit(args, res, f"optimize_g1_n{args.n}.csv")
     times = ", ".join(f"{t:.4f}" for t in result.chi_t_over_pi_equal)
     print(f"g1* = {result.g1_mhz:.3f} MHz (objective {result.objective:.3e})")
     print(f"near-equal times chi*t/pi: {times}")
-    print(f"optimize_g1_n{args.n}: {res.rows} rows -> {files[0]}")
     return 0
 
 
@@ -230,11 +238,10 @@ def _cmd_gm_sweep(args) -> int:
     ratios = _float_list(args.ratios, "--ratios", allow_inf=True)
     kappas = _float_list(args.kappas_mhz, "--kappas-mhz")
     res = sweep_gm(spec, ratios, kappas)
-    files = _emit(args, res, "gm_sweep.csv")
+    _emit(args, res, "gm_sweep.csv")
     for k in kappas:
         col = res.columns[f"f_kappa_{k:g}mhz"]
         print(f"kappa {k:g} MHz: fidelity {col[0]:.4f} -> {col[-1]:.4f} over ratios")
-    print(f"gm_sweep: {res.rows} rows -> {files[0]}")
     return 0
 
 
@@ -243,11 +250,10 @@ def _cmd_werner(args) -> int:
     p_grid = None if args.p_grid is None else _float_list(args.p_grid, "--p-grid")
     thetas = _float_list(args.thetas_pi, "--thetas-pi")
     res = sweep_werner(spec, p_grid, thetas)
-    files = _emit(args, res, "werner_sweep.csv")
+    _emit(args, res, "werner_sweep.csv")
     for th in thetas:
         col = res.columns[f"f_theta_{th:g}pi"]
         print(f"theta = {th:g} pi: fidelity spans [{col.min():.4f}, {col.max():.4f}]")
-    print(f"werner_sweep: {res.rows} rows -> {files[0]}")
     return 0
 
 
@@ -255,7 +261,7 @@ def _cmd_map_g2(args) -> int:
     spec = _load_or_reference(args, 3)
     ratios = None if args.ratios is None else _float_list(args.ratios, "--ratios")
     res = sweep_fidelity_map_g2(spec, ratios, kappa_mhz=args.kappa_mhz)
-    files = _emit(args, res, "fidelity_map_g2.csv")
+    _emit(args, res, "fidelity_map_g2.csv")
     x = res.columns["chi_t_over_pi"]
     best_name, best_val, best_x = "", -1.0, 0.0
     for name, col in res.columns.items():
@@ -265,15 +271,25 @@ def _cmd_map_g2(args) -> int:
         if col[i] > best_val:
             best_name, best_val, best_x = name, float(col[i]), float(x[i])
     print(f"map maximum {best_val:.4f} in column {best_name} at chi*t/pi = {best_x:.3f}")
-    print(f"fidelity_map_g2: {res.rows} rows -> {files[0]}")
     return 0
 
 
 def _cmd_sw_verify(args) -> int:
     spec = _load_or_reference(args, args.n if args.config is None else None)
     out = Path(args.out) if args.out else Path("sw_verify.json")
-    report = _write_sw_report(spec, out)
-    passed = report["passed"]
+    rep = verify_sw_identities(spec, build_basis(spec.n + 1, cutoff=1, excitation_cap=1))
+    passed = rep.r1 <= SW_R1_BOUND and rep.eigenvalue_drift <= SW_DRIFT_BOUND
+    report = {
+        "r1_interaction_cancellation": rep.r1,
+        "r2_second_order_truncation": rep.r2,
+        "r2_relative": rep.r2_relative,
+        "r3_dispersive_form_match": rep.r3,
+        "eigenvalue_drift": rep.eigenvalue_drift,
+        "spectrum_relative_error": rep.spectrum_relative_error,
+        "passed": passed,
+        "version": __version__,
+    }
+    write_json(out, report)
     _write_manifest(args, [out], "ok" if passed else "check_failed")
     for key, val in report.items():
         if isinstance(val, float):
@@ -282,71 +298,30 @@ def _cmd_sw_verify(args) -> int:
     return 0 if passed else 1
 
 
-def _write_sw_report(spec, path: Path) -> dict:
-    """Bus-elimination identity residuals of spec on its one-photon basis,
-    written to path as JSON; returns the report."""
-    rep = verify_sw_identities(spec, build_basis(spec.n + 1, cutoff=1, excitation_cap=1))
-    report = {
-        "r1_interaction_cancellation": rep.r1,
-        "r2_second_order_truncation": rep.r2,
-        "r2_relative": rep.r2_relative,
-        "r3_dispersive_form_match": rep.r3,
-        "eigenvalue_drift": rep.eigenvalue_drift,
-        "spectrum_relative_error": rep.spectrum_relative_error,
-        "passed": rep.r1 <= SW_R1_BOUND and rep.eigenvalue_drift <= SW_DRIFT_BOUND,
-        "version": __version__,
-    }
-    write_json(path, report)
-    return report
-
-
 def _cmd_all(args) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
-
-    for n in (3, 4):
-        res = scenario_population(n, reference_spec(n), with_kappa_mhz=0.5)
-        outputs += write_result(res, outdir / f"population_n{n}.csv")
-        print(f"population_n{n}: {res.rows} rows")
-        res = sweep_fidelity_vs_time(n, reference_spec(n))
-        outputs += write_result(res, outdir / f"fidelity_n{n}.csv")
-        print(f"fidelity_n{n}: {res.rows} rows")
-        res = _crossings_result(n, 1.5)
-        outputs += write_result(res, outdir / f"crossings_n{n}.csv")
-        print(f"crossings_n{n}: {res.rows} roots")
-
-    result = optimize_g1(5, reference_spec(5))
-    res = optimize_to_scenario(result, 5, reference_spec(5))
-    outputs += write_result(res, outdir / "optimize_g1_n5.csv")
-    print(f"optimize_g1_n5: g1* = {result.g1_mhz:.3f} MHz")
-
-    for builder, stem in (
-        (sweep_gm, "gm_sweep"),
-        (sweep_werner, "werner_sweep"),
-        (sweep_fidelity_map_g2, "fidelity_map_g2"),
-    ):
-        res = builder(reference_spec(3))
-        outputs += write_result(res, outdir / f"{stem}.csv")
-        print(f"{stem}: {res.rows} rows")
-
-    report_path = outdir / "sw_verify.json"
-    passed = _write_sw_report(reference_spec(3), report_path)["passed"]
-    outputs.append(report_path)
-    print(f"sw_verify: {'PASS' if passed else 'FAIL'}")
-
-    manifest = _write_manifest(args, outputs, "ok" if passed else "check_failed",
+    outputs: list = []
+    codes = []
+    parser = _build_parser()
+    for argv, name in _ALL_RUNS:
+        out = outdir / name
+        codes.append(_run(parser.parse_args([*argv, "--out", str(out)])))
+        manifest = out.with_name(out.stem + ".manifest.json")
+        if codes[-1] == 0:  # a failed run has said why, and may have left no manifest
+            listed = json.loads(manifest.read_text(encoding="utf-8"))["outputs"]
+            outputs += [*listed, manifest]
+    manifest = _write_manifest(args, outputs, "failed" if any(codes) else "ok",
                                manifest_path=outdir / "all.manifest.json")
-    print(f"{len(outputs)} output files + {manifest}")
-    return 0 if passed else 1
+    print(f"{codes.count(0)}/{len(codes)} runs ok, {len(outputs)} output files + {manifest}")
+    return max(codes)
 
 
 # --- shared plumbing --------------------------------------------------------
 
 
 def _load_or_reference(args, n: int | None):
-    """Spec from --config when given (validating the resonator count),
-    otherwise the standard working point with n resonators."""
+    """Spec from --config when given (checking it has n resonators unless n
+    is None), otherwise the standard working point with n resonators."""
     if args.config is not None:
         try:
             spec = load_spec(args.config)
@@ -357,16 +332,16 @@ def _load_or_reference(args, n: int | None):
                 f"config {args.config} has {spec.n} resonators but the command needs {n}"
             )
         return spec
-    if n is None:
-        raise UsageError("either --config or --n is required")
     return reference_spec(n)
 
 
-def _emit(args, res: ScenarioResult, default_name: str) -> list[Path]:
+def _emit(args, res: ScenarioResult, default_name: str) -> None:
+    """Write res to --out (default_name when absent) with its manifest and
+    report the row count under the default name's stem."""
     out = Path(args.out) if args.out else Path(default_name)
     files = write_result(res, out)
-    files.append(_write_manifest(args, files, "ok"))
-    return files
+    _write_manifest(args, files, "ok")
+    print(f"{Path(default_name).stem}: {res.rows} rows -> {out}")
 
 
 def _write_manifest(args, outputs: list[Path], status: str,

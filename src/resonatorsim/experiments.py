@@ -15,8 +15,10 @@ The single-photon scenarios damp every mode at one rate kappa under a
 Hamiltonian that only hops the photon (basis capped at one excitation), so
 the one-photon block evolves as exp(-kappa t / 2) exp(-i h t) and every
 jump lands in vacuum: damped populations and fidelities are exactly
-exp(-kappa t) times the unitary ones.  Only the Werner sweep (up to three
-photons, rates per mode from the spec) runs the master equation.
+exp(-kappa t) times the unitary ones.  They take kappa from their own
+arguments and, like optimize_g1 (which runs without decay), refuse a spec
+with decay rates.  Only the Werner sweep (up to three photons, rates per
+mode from the spec) runs the master equation.
 """
 
 from __future__ import annotations
@@ -128,6 +130,7 @@ def scenario_population(
     which is exp(-kappa t) p_abinitio_j.
     """
     spec, chi = _homogeneous(spec, n)
+    _require_undamped(spec, "set decay with with_kappa_mhz (--kappa-mhz)")
     if with_kappa_mhz is not None:
         _require_rate(with_kappa_mhz)
     # the grid validates the window before any array is built from it
@@ -168,6 +171,7 @@ def sweep_fidelity_vs_time(
     column per decay rate (all modes damped equally): exp(-kappa t) times
     the unitary fidelity."""
     spec, chi = _homogeneous(spec, n)
+    _require_undamped(spec, "set decay with kappas_mhz (--kappas-mhz)")
     kappas = [float(k) for k in kappas_mhz]
     _require_rate(*kappas)
 
@@ -200,6 +204,7 @@ def sweep_fidelity_map_g2(
     for the three-resonator network at one uniform decay rate: each column
     is one diagonalization's unitary fidelity times exp(-kappa t)."""
     spec, chi = _homogeneous(spec, 3)
+    _require_undamped(spec, "set decay with kappa_mhz (--kappa-mhz)")
     _require_rate(kappa_mhz)
     ratios = (
         np.arange(0.5, 1.5001, 0.05) if g2_ratios is None else np.asarray(g2_ratios, float)
@@ -207,8 +212,9 @@ def sweep_fidelity_map_g2(
     x = (
         np.arange(0.05, 1.3001, 0.005) if chi_t_over_pi is None else np.asarray(chi_t_over_pi, float)
     )
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"operation times chi*t/pi must be finite, got {x.tolist()}")
+    _require_nonempty(g2_ratios=ratios, chi_t_over_pi=x)
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise ValueError(f"chi_t_over_pi must be finite and nonnegative, got {x.tolist()}")
     times = np.pi * x / chi
     chi_t_star = first_crossing_chi_t(3)
     basis = build_basis(4, cutoff=1, excitation_cap=1)
@@ -245,8 +251,10 @@ def sweep_gm(
     direct coupling and serves as the baseline.  One column per decay rate
     (all modes damped equally): exp(-kappa t) times the unitary fidelity."""
     spec, chi = _homogeneous(spec, 3)
+    _require_undamped(spec, "set decay with kappas_mhz (--kappas-mhz)")
     g_mhz = spec.resonators[0].g_mhz
     ratios = [float(r) for r in ratios]
+    _require_nonempty(ratios=ratios)
     if any(r <= 0 for r in ratios):
         raise ValueError(f"coupling ratios must be positive, got {ratios}")
     kappas = [float(k) for k in kappas_mhz]
@@ -292,6 +300,7 @@ def sweep_werner(
     spec, chi = _homogeneous(spec, 3)
     ps = np.linspace(0.0, 1.0, 11) if p_grid is None else np.asarray(p_grid, float)
     thetas = [float(t) for t in thetas_pi]
+    _require_nonempty(p_grid=ps, thetas_pi=thetas)
 
     chi_t_star = first_crossing_chi_t(3)
     t_star = chi_t_star / chi
@@ -347,6 +356,7 @@ def optimize_g1(
         raise ValueError(f"calibration targets n >= 5 (homogeneous n={n} has no gap)")
     spec = spec if spec is not None else reference_spec(n)
     _require_n(spec, n)
+    _require_undamped(spec, "the calibration runs without decay")
     lo, hi = float(search_mhz[0]), float(search_mhz[1])
     if not 0 < lo < hi:
         raise ValueError(f"search interval must satisfy 0 < lo < hi, got {search_mhz}")
@@ -446,6 +456,20 @@ def write_json(path, payload: dict) -> Path:
 def _require_n(spec: SystemSpec, n: int) -> None:
     if spec.n != n:
         raise ValueError(f"spec has {spec.n} resonators but the scenario needs {n}")
+
+
+def _require_undamped(spec: SystemSpec, decay: str) -> None:
+    """Refuse a spec with decay rates: the scenario sets decay as the clause
+    decay says, so the spec's rates would be silently ignored."""
+    rates = [spec.bus_kappa_mhz] + [r.kappa_mhz for r in spec.resonators]
+    if any(rates):
+        raise ValueError(f"the spec's decay rates {rates} MHz would be ignored: {decay}")
+
+
+def _require_nonempty(**axes) -> None:
+    for name, values in axes.items():
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty")
 
 
 def _require_rate(*kappas_mhz: float) -> None:

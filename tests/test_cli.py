@@ -10,7 +10,24 @@ import numpy as np
 import pytest
 
 import resonatorsim
-from resonatorsim import derive_dispersive, dynamics, reference_spec, spec_to_dict
+from resonatorsim import (
+    ScenarioResult,
+    amplitude_grid,
+    cli,
+    derive_dispersive,
+    dynamics,
+    find_w_crossings,
+    optimize_g1,
+    optimize_to_scenario,
+    reference_spec,
+    scenario_population,
+    spec_to_dict,
+    sweep_fidelity_map_g2,
+    sweep_fidelity_vs_time,
+    sweep_gm,
+    sweep_werner,
+    write_result,
+)
 from resonatorsim.cli import main
 
 
@@ -228,14 +245,69 @@ def test_sw_verify_pass(tmp_path, capsys):
     assert manifest["status"] == "ok"
 
 
+def _crossings_scenario(n):
+    roots = find_w_crossings(n, 1.5 * np.pi)
+    pops = np.abs(amplitude_grid(n, roots)) ** 2
+    columns = {"chi_t_over_pi": roots / np.pi}
+    columns.update({f"p_{j + 1}": pops[:, j] for j in range(n)})
+    meta = {"name": f"crossings_n{n}", "n": n, "chi_t_max_over_pi": 1.5,
+            "version": resonatorsim.__version__}
+    return ScenarioResult(meta["name"], columns, meta)
+
+
 def test_all_writes_manifest_outputs_and_full_sw_report(tmp_path):
     assert main(["all", "--outdir", "out"]) == 0
-    manifest = json.loads((tmp_path / "out" / "all.manifest.json").read_text(encoding="utf-8"))
+    out = tmp_path / "out"
+    manifest = json.loads((out / "all.manifest.json").read_text(encoding="utf-8"))
     assert manifest["status"] == "ok"
     assert all(os.path.exists(path) for path in manifest["outputs"])
+    # every CSV and sidecar equals the library scenario at its defaults, so
+    # CLI defaults that drift from the library's fail here
+    expected = {f"crossings_n{n}": _crossings_scenario(n) for n in (3, 4)}
+    for n in (3, 4):
+        expected[f"population_n{n}"] = scenario_population(n, with_kappa_mhz=0.5)
+        expected[f"fidelity_n{n}"] = sweep_fidelity_vs_time(n)
+    expected["optimize_g1_n5"] = optimize_to_scenario(optimize_g1(5), 5)
+    expected["gm_sweep"] = sweep_gm()
+    expected["werner_sweep"] = sweep_werner()
+    expected["fidelity_map_g2"] = sweep_fidelity_map_g2()
+    assert len(expected) == 10
+    for stem, res in expected.items():
+        for path in write_result(res, tmp_path / "lib" / f"{stem}.csv"):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
     assert main(["sw-verify", "--n", "3", "--out", "sw.json"]) == 0
-    report = json.loads((tmp_path / "out" / "sw_verify.json").read_text(encoding="utf-8"))
+    report = json.loads((out / "sw_verify.json").read_text(encoding="utf-8"))
     assert report == json.loads((tmp_path / "sw.json").read_text(encoding="utf-8"))
+    # each run leaves its own manifest beside its output
+    for stem in [*expected, "sw_verify"]:
+        run = json.loads((out / f"{stem}.manifest.json").read_text(encoding="utf-8"))
+        assert run["status"] == "ok", stem
+
+
+def test_all_reports_a_failed_run(tmp_path, monkeypatch, capsys):
+    # a failing run does not stop the others; all.manifest.json lists only
+    # the outputs of runs that returned 0 and its status is no longer ok
+    monkeypatch.setattr(cli, "_ALL_RUNS", (
+        (["crossings", "--n", "3", "--chi-t-max", "nan"], "bad.csv"),
+        (["crossings", "--n", "4"], "good.csv"),
+    ))
+    assert main(["all", "--outdir", "out"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "all.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "failed"
+    assert manifest["outputs"] == [os.path.join("out", name) for name in
+                                   ("good.csv", "good.meta.json", "good.manifest.json")]
+    assert not (tmp_path / "out" / "bad.csv").exists()
+
+
+def test_damped_config_refused_where_decay_comes_from_flags(tmp_path, capsys):
+    # fidelity takes its rates from --kappas-mhz; a config's rates would be
+    # ignored, so it is refused before anything is written
+    cfg = tmp_path / "damped.json"
+    cfg.write_text(json.dumps(spec_to_dict(reference_spec(3, kappa_mhz=0.5))), encoding="utf-8")
+    assert main(["fidelity", "--config", str(cfg), "--kappas-mhz", "0", "--out", "f.csv"]) == 2
+    assert "--kappas-mhz" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["damped.json"]
 
 
 def test_version_flag(capsys):

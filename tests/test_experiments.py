@@ -104,6 +104,8 @@ def test_fidelity_sweep_kappa_zero_peak():
                 sweep_fidelity_vs_time(3, kappas_mhz=bad)
             with pytest.raises(ValueError, match="decay rate"):
                 sweep_gm(kappas_mhz=bad)
+        with pytest.raises(ValueError, match="ratios is empty"):
+            sweep_gm(ratios=[])
 
 
 def _master_equation(spec, kappa, t_end, points=2):
@@ -164,11 +166,38 @@ def test_map_factorization_matches_master_equation():
             np.testing.assert_allclose(
                 res.columns[f"f_kappa_{kappa:g}mhz"][i], f_me, rtol=0, atol=1e-12
             )
-    # non-finite operation times are refused before any array is built
+    # non-finite or negative operation times (where exp(-kappa t) > 1) and
+    # empty axes are refused before any array is computed from them
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="must be finite"):
-            sweep_fidelity_map_g2(g2_ratios=[1.0], chi_t_over_pi=[0.1, np.nan])
+        for kwargs, match in (
+            ({"g2_ratios": [1.0], "chi_t_over_pi": [0.1, np.nan]}, "must be finite"),
+            ({"g2_ratios": [1.0], "chi_t_over_pi": [-0.1]}, "finite and nonnegative"),
+            ({"g2_ratios": []}, "g2_ratios is empty"),
+            ({"chi_t_over_pi": []}, "chi_t_over_pi is empty"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                sweep_fidelity_map_g2(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "n, call, flag",
+    [
+        (3, lambda s: scenario_population(3, s, with_kappa_mhz=0.5), "--kappa-mhz"),
+        (3, lambda s: sweep_fidelity_vs_time(3, s), "--kappas-mhz"),
+        (3, lambda s: sweep_fidelity_map_g2(s), "--kappa-mhz"),
+        (3, lambda s: sweep_gm(s), "--kappas-mhz"),
+        (5, lambda s: optimize_g1(5, s), "without decay"),
+    ],
+    ids=["population", "fidelity", "map_g2", "gm", "optimize_g1"],
+)
+def test_single_photon_scenarios_refuse_damped_spec(n, call, flag):
+    # these take decay from their own arguments (or run without it), so a
+    # spec's rates would be ignored; the bus rate alone is enough to refuse
+    for spec in (reference_spec(n, kappa_mhz=0.5),
+                 dataclasses.replace(reference_spec(n), bus_kappa_mhz=0.1)):
+        with pytest.raises(ValueError, match=f"would be ignored: .*{flag}"):
+            call(spec)
 
 
 def test_gm_sweep_infinite_ratio_is_baseline():

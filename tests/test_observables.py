@@ -109,6 +109,10 @@ def test_werner_params_validation():
                 WernerParams(0.5, theta)
         with pytest.raises(ValueError, match="theta must be finite"):
             sweep_werner(p_grid=[0.5], thetas_pi=[np.nan])
+        # an empty axis is refused by name
+        for kwargs, name in (({"p_grid": []}, "p_grid"), ({"thetas_pi": []}, "thetas_pi")):
+            with pytest.raises(ValueError, match=f"{name} is empty"):
+                sweep_werner(**kwargs)
 
 
 def test_werner_state_properties():
