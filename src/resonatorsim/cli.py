@@ -12,6 +12,7 @@ failure, 2 bad flags or config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -79,7 +80,10 @@ def _run(args) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it
+    unchanged and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="resonatorsim",
         description="Dispersive bus-coupled resonator network simulator",
@@ -152,7 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sw-verify", help="frame-transformation identity residuals")
     _add_config(p)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=None,
+                   help="number of distant resonators, default 3 without --config")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_sw_verify)
 
@@ -275,7 +280,7 @@ def _cmd_map_g2(args) -> int:
 
 
 def _cmd_sw_verify(args) -> int:
-    spec = _load_or_reference(args, args.n if args.config is None else None)
+    spec = _load_or_reference(args, 3 if args.n is None and args.config is None else args.n)
     out = Path(args.out) if args.out else Path("sw_verify.json")
     rep = verify_sw_identities(spec, build_basis(spec.n + 1, cutoff=1, excitation_cap=1))
     passed = rep.r1 <= SW_R1_BOUND and rep.eigenvalue_drift <= SW_DRIFT_BOUND

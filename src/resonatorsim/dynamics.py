@@ -2,7 +2,9 @@
 the reduced amplitude equations of the bus-eliminated model.
 
 Every generator here is constant in time, so each route is exact up to dense
-linear algebra: the unitary route diagonalizes the Hamiltonian, the Lindblad
+linear algebra: the unitary route diagonalizes the Hamiltonian and builds
+the phases on its uniform grid from two tables of about sqrt(T) rows each
+(its states are a time-last table seen through a transposed view), the Lindblad
 route exponentiates the vectorized Liouvillian over one grid spacing, once per
 distinct generator in the batch and only on the entries reachable from the
 initial support, and the reduced amplitudes are a unitary problem in a
@@ -14,6 +16,7 @@ afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +87,15 @@ def _check_conserved(name: str, values: np.ndarray, initial, times) -> None:
 
 def evolve_unitary(h: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Propagate a state vector under a constant Hamiltonian by
-    diagonalization; exact up to the eigensolver."""
+    diagonalization; exact up to the eigensolver.
+
+    Grid point k = q m + r, with m = isqrt(T - 1) + 1, has the phases
+    exp(-i lam q m dt) exp(-i lam r dt), so two tables of about sqrt(T)
+    rows each replace the T x d table of exponentials, and each state
+    component is one (Q x d) @ (d x m) product.  The result is laid out
+    with time last; states is its (T, d) transpose, a view that is not
+    C-contiguous.
+    """
     h = np.asarray(h)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (h.shape[0],):
@@ -93,8 +104,13 @@ def evolve_unitary(h: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> Trajector
         raise ValueError("Hamiltonian entries must be finite")
     evals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
     c0 = vecs.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(grid.times - grid.t_start, evals))
-    states = (phases * c0) @ vecs.T
+    points = grid.points
+    m = math.isqrt(points - 1) + 1
+    dt = grid.span / (points - 1)
+    fine = np.exp(-1j * np.outer(evals, np.arange(m) * dt))
+    coarse = np.exp(-1j * np.outer(np.arange((points - 1) // m + 1) * (m * dt), evals))
+    table = ((vecs * c0)[:, None, :] * coarse) @ fine
+    states = table.reshape(len(evals), -1)[:, :points].T
     return Trajectory(grid.times, states)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .analytic import amplitude_grid, find_w_crossings
 from .dynamics import TimeGrid, evolve_lindblad_batch, evolve_unitary
 from .fockspace import FockBasis, annihilation, build_basis, single_photon_index
-from .hamiltonians import build_full, shift_frame
+from .hamiltonians import build_full, one_photon_hamiltonian, shift_frame
 from .model import SystemSpec, ResonatorSpec, derive_dispersive, spec_to_dict
 from .observables import (
     WernerParams,
@@ -174,6 +174,7 @@ def sweep_fidelity_vs_time(
     _require_undamped(spec, "set decay with kappas_mhz (--kappas-mhz)")
     kappas = [float(k) for k in kappas_mhz]
     _require_rate(*kappas)
+    names = _column_names("f_kappa_{:g}mhz", kappas, "kappas_mhz")
 
     chi_t_star = first_crossing_chi_t(n)
     basis = build_basis(n + 1, cutoff=1, excitation_cap=1)
@@ -185,8 +186,8 @@ def sweep_fidelity_vs_time(
     fid = fidelity_pure_target(evolve_unitary(h, psi0, grid).states, target)
 
     columns: dict = {"chi_t_over_pi": x}
-    for k in kappas:
-        columns[f"f_kappa_{k:g}mhz"] = np.exp(-k * grid.times) * fid
+    for name, k in zip(names, kappas):
+        columns[name] = np.exp(-k * grid.times) * fid
     meta = _base_metadata(f"fidelity_vs_time_n{n}", spec, chi)
     meta["grid"] = {"chi_t_max_over_pi": chi_t_max_over_pi, "points": points}
     meta["kappas_mhz"] = kappas
@@ -213,6 +214,7 @@ def sweep_fidelity_map_g2(
         np.arange(0.05, 1.3001, 0.005) if chi_t_over_pi is None else np.asarray(chi_t_over_pi, float)
     )
     _require_nonempty(g2_ratios=ratios, chi_t_over_pi=x)
+    names = _column_names("f_g2_{:g}", ratios, "g2_ratios")
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise ValueError(f"chi_t_over_pi must be finite and nonnegative, got {x.tolist()}")
     times = np.pi * x / chi
@@ -232,8 +234,8 @@ def sweep_fidelity_map_g2(
     f_unitary = [unitary_column(float(r)) for r in ratios]
     envelope = np.exp(-kappa_mhz * times)
     columns: dict = {"chi_t_over_pi": x}
-    for r, col in zip(ratios, f_unitary):
-        columns[f"f_g2_{r:g}"] = envelope * col
+    for name, col in zip(names, f_unitary):
+        columns[name] = envelope * col
     meta = _base_metadata("fidelity_map_g2", spec, chi)
     meta["g2_ratios"] = [float(r) for r in ratios]
     meta["kappa_mhz"] = kappa_mhz
@@ -259,6 +261,7 @@ def sweep_gm(
         raise ValueError(f"coupling ratios must be positive, got {ratios}")
     kappas = [float(k) for k in kappas_mhz]
     _require_rate(*kappas)
+    names = _column_names("f_kappa_{:g}mhz", kappas, "kappas_mhz")
     gm_values = [0.0 if math.isinf(r) else g_mhz / r for r in ratios]
 
     chi_t_star = first_crossing_chi_t(3)
@@ -275,8 +278,8 @@ def sweep_gm(
         "g_over_gm": np.array(ratios),
         "gm_mhz": np.array(gm_values),
     }
-    for k in kappas:
-        columns[f"f_kappa_{k:g}mhz"] = np.exp(-k * t_star) * fid
+    for name, k in zip(names, kappas):
+        columns[name] = np.exp(-k * t_star) * fid
     meta = _base_metadata("gm_sweep", spec, chi)
     meta["ratios_g_over_gm"] = ratios
     meta["kappas_mhz"] = kappas
@@ -301,6 +304,7 @@ def sweep_werner(
     ps = np.linspace(0.0, 1.0, 11) if p_grid is None else np.asarray(p_grid, float)
     thetas = [float(t) for t in thetas_pi]
     _require_nonempty(p_grid=ps, thetas_pi=thetas)
+    names = _column_names("f_theta_{:g}pi", thetas, "thetas_pi")
 
     chi_t_star = first_crossing_chi_t(3)
     t_star = chi_t_star / chi
@@ -326,8 +330,8 @@ def sweep_werner(
     fid = fidelity_dm(final, target).reshape(len(thetas), len(ps))
 
     columns: dict = {"p": ps}
-    for i, th in enumerate(thetas):
-        columns[f"f_theta_{th:g}pi"] = fid[i]
+    for name, row in zip(names, fid):
+        columns[name] = row
     meta = _base_metadata("werner_sweep", spec, chi)
     meta["thetas_pi"] = thetas
     meta["chi_t_star_over_pi"] = chi_t_star / np.pi
@@ -349,8 +353,9 @@ def optimize_g1(
     detuning.  The coupling is then the closed form of design_w_couplings
     for equal targets, g1* = (sqrt(n) - 1) g, and it must lie in
     search_mhz.  Objective: min over time of max_m |P_m(t) - 1/n| from ab
-    initio unitary evolution (decay off), reported at g1* and on a
-    grid_points landscape over search_mhz.
+    initio unitary evolution (decay off) of the one-photon block
+    one_photon_hamiltonian, reported at g1* and on a grid_points landscape
+    over search_mhz.
     """
     if n < 5:
         raise ValueError(f"calibration targets n >= 5 (homogeneous n={n} has no gap)")
@@ -377,16 +382,17 @@ def optimize_g1(
             f"interval [{lo:g}, {hi:g}] MHz"
         )
 
-    basis = build_basis(n + 1, cutoff=1, excitation_cap=1)
-    psi0 = _single_photon_state(basis, mode=1)
+    # one-photon amplitudes, bus first: the photon starts in resonator 1
+    psi0 = np.zeros(n + 1, dtype=complex)
+    psi0[1] = 1.0
     x = np.linspace(0.0, chi_t_max_over_pi, 8001)
 
     def linf_curve(g1_mhz: float) -> np.ndarray:
         varied = _with_coupling(spec, 0, g1_mhz)
         chi_ref = float(derive_dispersive(varied).chi[-1, -2])
-        h = _frame_hamiltonian(varied, basis)
+        h = one_photon_hamiltonian(varied, varied.omegas[0])
         traj = evolve_unitary(h, psi0, TimeGrid(0.0, np.pi * x[-1] / chi_ref, len(x)))
-        p = single_photon_populations(traj.states, basis, n)
+        p = np.abs(traj.states[:, 1:]) ** 2
         return np.max(np.abs(p - 1.0 / n), axis=1)
 
     grid = np.linspace(lo, hi, grid_points)
@@ -425,10 +431,9 @@ def write_result(result: ScenarioResult, csv_path) -> list[Path]:
     """
     csv_path = Path(csv_path)
     names = list(result.columns)
-    arrays = [np.asarray(result.columns[k], dtype=float) for k in names]
-    lines = [",".join(names)]
-    for i in range(result.rows):
-        lines.append(",".join(_fmt(a[i]) for a in arrays))
+    table = np.array([np.asarray(result.columns[k], dtype=float) for k in names]).T
+    row_fmt = ",".join(["%.12g"] * len(names))
+    lines = [",".join(names)] + [row_fmt % tuple(row) for row in table.tolist()]
     _write_atomic(csv_path, "\n".join(lines) + "\n")
 
     meta_path = csv_path.with_name(csv_path.stem + ".meta.json")
@@ -472,6 +477,21 @@ def _require_nonempty(**axes) -> None:
             raise ValueError(f"{name} is empty")
 
 
+def _column_names(template: str, values, axis: str) -> list[str]:
+    """template.format(v) for each value, refusing two values that give one
+    name: the later column would silently replace the earlier."""
+    names = [template.format(v) for v in values]
+    first: dict[str, float] = {}
+    for value, name in zip(values, names):
+        if name in first:
+            raise ValueError(
+                f"{axis} values {first[name]!r} and {float(value)!r} both give "
+                f"the column {name}"
+            )
+        first[name] = float(value)
+    return names
+
+
 def _require_rate(*kappas_mhz: float) -> None:
     if not kappas_mhz:
         raise ValueError("no decay rate given")
@@ -510,17 +530,11 @@ def _with_coupling(spec: SystemSpec, index: int, g_mhz: float) -> SystemSpec:
 
 def _distinct_minima(x: np.ndarray, curve: np.ndarray, tol: float) -> np.ndarray:
     """Location of the minimum of each contiguous run where curve <= tol."""
-    below = curve <= tol
-    out = []
-    start = None
-    for i, flag in enumerate(np.append(below, False)):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            run = slice(start, i)
-            out.append(x[run][np.argmin(curve[run])])
-            start = None
-    return np.array(out)
+    # the padded mask starts and ends False, so its changes alternate
+    # between the start of a run and the index one past its end
+    padded = np.concatenate(([False], curve <= tol, [False]))
+    runs = np.flatnonzero(np.diff(padded)).reshape(-1, 2)
+    return np.array([x[a + np.argmin(curve[a:b])] for a, b in runs])
 
 
 def _base_metadata(name: str, spec: SystemSpec, chi: float) -> dict:
@@ -536,10 +550,6 @@ def _package_version() -> str:
     from resonatorsim import __version__
 
     return __version__
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
 
 
 def _jsonable(obj):

@@ -1,7 +1,8 @@
 """Hamiltonian matrices for the bus-coupled resonator network.
 
 Builds the ab initio Hamiltonian (bus + distant resonators + optional direct
-nearest-neighbour coupling) and the antihermitian generator that eliminates
+nearest-neighbour coupling), its (n+1) x (n+1) one-photon block without a
+Fock basis, and the antihermitian generator that eliminates
 the bus to first order, and checks the elimination against the explicit
 dispersive form.  The bus-free model itself is propagated by
 dynamics.integrate_amplitudes.  All matrices are dense complex arrays in
@@ -62,6 +63,22 @@ def build_full(spec: SystemSpec, basis: FockBasis) -> HamiltonianSet:
             bk = annihilation(basis, j + 1)
             h_gm = h_gm + spec.gm * (bj.conj().T @ bk + bk.conj().T @ bj)
     return HamiltonianSet(h0 + h_int + h_gm, h0, h_int, h_gm)
+
+
+def one_photon_hamiltonian(spec: SystemSpec, omega_ref: float) -> np.ndarray:
+    """One-photon block of the ab initio Hamiltonian in the frame rotating
+    at omega_ref: [[Omega_bus - omega_ref, g^T], [g, diag(omega) - omega_ref
+    + G_M chain]], shape (n + 1, n + 1), row k holding the photon in mode k
+    (0 = bus).  Entry for entry it equals that block of
+    shift_frame(build_full(spec, basis).h_full, basis, omega_ref).
+    """
+    h = np.zeros((spec.n + 1, spec.n + 1), dtype=complex)
+    modes = np.arange(1, spec.n + 1)
+    h[0, 0] = spec.bus_omega - omega_ref
+    h[modes, modes] = spec.omegas - omega_ref
+    h[0, modes] = h[modes, 0] = spec.couplings
+    h[modes[:-1], modes[1:]] = h[modes[1:], modes[:-1]] = spec.gm
+    return h
 
 
 def build_sw_generator(spec: SystemSpec, basis: FockBasis) -> np.ndarray:

@@ -147,6 +147,41 @@ def test_config_n_mismatch_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps(spec_to_dict(reference_spec(4))), encoding="utf-8")
     assert main(["evolve", "--config", str(cfg), "--n", "5"]) == 2
     assert "4 resonators" in capsys.readouterr().err
+    # sw-verify checks an explicit --n too; without one it takes the config's
+    assert main(["sw-verify", "--config", str(cfg), "--n", "5", "--out", "sw.json"]) == 2
+    assert "4 resonators but the command needs 5" in capsys.readouterr().err
+    assert not (tmp_path / "sw.json").exists()
+    assert main(["sw-verify", "--config", str(cfg), "--out", "sw.json"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fidelity", "--kappas-mhz", "0.1234567,0.1234568"],
+        ["gm-sweep", "--kappas-mhz", "0.5,0.5"],
+        ["map-g2", "--ratios", "1.0000001,1.0000002"],
+        ["werner", "--thetas-pi", "0.25,0.25"],
+    ],
+    ids=["fidelity", "gm-sweep", "map-g2", "werner"],
+)
+def test_colliding_column_names_exit_2(argv, tmp_path, capsys):
+    assert main(argv + ["--out", "x.csv"]) == 2
+    assert "both give the column" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_reuse_keeps_defaults(tmp_path):
+    # the parser is built once per process; a flag given to one call must
+    # not become the default of the next
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["fidelity", "--kappas-mhz", "0.5", "--points", "5",
+                 "--chi-t-max", "0.1", "--out", "a.csv"]) == 0
+    assert main(["fidelity", "--chi-t-max", "0.1", "--out", "b.csv"]) == 0
+    args = [json.loads((tmp_path / f"{s}.manifest.json").read_text(encoding="utf-8"))["args"]
+            for s in "ab"]
+    assert (args[0]["kappas_mhz"], args[0]["points"]) == ("0.5", 5)
+    assert (args[1]["kappas_mhz"], args[1]["points"]) == ("0,0.25,0.5", 600)
+    assert len((tmp_path / "b.csv").read_text(encoding="utf-8").splitlines()) == 601
 
 
 def test_non_finite_config_exit_2(tmp_path, capsys):

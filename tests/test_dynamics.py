@@ -83,6 +83,33 @@ def test_unitary_evolution_matches_expm():
     np.testing.assert_allclose(norms, 1.0, atol=1.0e-12)
 
 
+@pytest.mark.parametrize("frame", ["shifted", "lab"])
+@pytest.mark.parametrize("t_start", [0.0, 0.37])
+@pytest.mark.parametrize("points", [2, 3, 7, 600, 8001])
+def test_unitary_factorised_phases_match_direct_table(frame, t_start, points):
+    # grid points k = q m + r take their phases from two short tables; the
+    # reference builds all T x d phases from the grid times.  T - 1 = 2, 6,
+    # 599 and 8000 are not perfect squares, and T = 3, 7, 600, 8001 leave
+    # Q m > T.  The tolerance is the rounding of the phase lam t itself.
+    spec = reference_spec(4, gm_mhz=3.0, couplings_mhz=[50.0, 47.0, 52.0, 55.0])
+    basis = build_basis(5, cutoff=1, excitation_cap=1)
+    h = build_full(spec, basis).h_full
+    if frame == "shifted":
+        h = shift_frame(h, basis, spec.omegas[0])
+    rng = np.random.default_rng(points)
+    psi0 = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    psi0 /= np.linalg.norm(psi0)
+    grid = TimeGrid(t_start, t_start + 1.3, points)
+
+    evals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    phases = np.exp(-1j * np.outer(grid.times - t_start, evals))
+    expected = (phases * (vecs.conj().T @ psi0)) @ vecs.T
+    states = evolve_unitary(h, psi0, grid).states
+    assert states.shape == (points, basis.dim)
+    atol = 1.0e-15 * (1.0 + np.max(np.abs(evals)) * grid.span)
+    np.testing.assert_allclose(states, expected, rtol=0, atol=atol)
+
+
 def test_lindblad_pure_decay_single_mode():
     # photon in one decaying mode: excited population e^{-kappa t}
     basis = build_basis(2, cutoff=1, excitation_cap=1)

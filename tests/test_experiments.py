@@ -30,7 +30,7 @@ from resonatorsim import (
     sweep_werner,
     write_result,
 )
-from resonatorsim.experiments import _with_coupling
+from resonatorsim.experiments import _distinct_minima, _with_coupling
 
 
 def test_reference_spec_values():
@@ -200,6 +200,57 @@ def test_single_photon_scenarios_refuse_damped_spec(n, call, flag):
             call(spec)
 
 
+@pytest.mark.parametrize(
+    "call, axis, values",
+    [
+        (lambda v: sweep_fidelity_vs_time(3, kappas_mhz=v, points=4), "kappas_mhz",
+         [0.1234567, 0.1234568]),
+        (lambda v: sweep_gm(kappas_mhz=v), "kappas_mhz", [0.1234567, 0.1234568]),
+        (lambda v: sweep_fidelity_map_g2(g2_ratios=v), "g2_ratios", [0.1234567, 0.1234568]),
+        (lambda v: sweep_werner(thetas_pi=v), "thetas_pi", [0.25, 0.5, 0.25]),
+    ],
+    ids=["fidelity", "gm", "map_g2", "werner"],
+)
+def test_sweeps_refuse_colliding_column_names(call, axis, values):
+    # {:g} keeps six digits, so both values would name one column and the
+    # second would silently replace the first
+    clash = f"{values[0]!r} and {values[-1]!r}"
+    with pytest.raises(ValueError, match=f"{axis} values {clash} both give the column"):
+        call(values)
+
+
+def _distinct_minima_loop(x, curve, tol):
+    # the scan that _distinct_minima replaced, kept as its reference
+    out = []
+    start = None
+    for i, flag in enumerate(np.append(curve <= tol, False)):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            run = slice(start, i)
+            out.append(x[run][np.argmin(curve[run])])
+            start = None
+    return np.array(out)
+
+
+def test_distinct_minima_matches_loop():
+    x = np.linspace(0.0, 2.0, 9)
+    rng = np.random.default_rng(5)
+    curves = [
+        np.array([0.0, 0.01, 0.5, 0.3, 0.015, 0.005, 0.4, 0.01, 0.0]),  # runs at both ends
+        np.array([0.01, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3]),  # one point at the start
+        np.full(9, 0.5),  # no run
+        np.full(9, 0.01),  # one run over everything
+        rng.uniform(0.0, 0.04, 9),
+    ]
+    for curve in curves:
+        got = _distinct_minima(x, curve, 0.02)
+        want = _distinct_minima_loop(x, curve, 0.02)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert _distinct_minima(x, curves[2], 0.02).shape == (0,)
+    assert np.array_equal(_distinct_minima(x, curves[3], 0.02), [0.0])
+
+
 def test_gm_sweep_infinite_ratio_is_baseline():
     res = sweep_gm(ratios=[np.inf, 100.0], kappas_mhz=[0.0])
     f = res.columns["f_kappa_0mhz"]
@@ -304,10 +355,13 @@ def test_write_result_deterministic(tmp_path):
 def test_write_result_twelve_digits(tmp_path):
     from resonatorsim import ScenarioResult
 
-    res = ScenarioResult(
-        "fmt", {"x": np.array([1.0 / 3.0]), "y": np.array([np.inf])}, {"name": "fmt"}
-    )
+    x = np.array([1.0 / 3.0, np.nan, -0.0, 5e-324])
+    y = np.array([np.inf, -np.inf, 1e22, -1.5e-7])
+    res = ScenarioResult("fmt", {"x": x, "y": y}, {"name": "fmt"})
     path = tmp_path / "fmt.csv"
     write_result(res, path)
-    body = path.read_text(encoding="utf-8").splitlines()[1]
-    assert body == "0.333333333333,inf"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == ["x,y", "0.333333333333,inf", "nan,-inf", "-0,1e+22",
+                     "4.94065645841e-324,-1.5e-07"]
+    # each cell reads as format(value, ".12g") of the numpy value
+    assert lines[1:] == [f"{a:.12g},{b:.12g}" for a, b in zip(x, y)]

@@ -11,8 +11,10 @@ from resonatorsim import (
     build_full,
     build_sw_generator,
     derive_dispersive,
+    one_photon_hamiltonian,
     reference_spec,
     shift_frame,
+    single_photon_index,
     total_number,
     verify_sw_identities,
 )
@@ -55,6 +57,26 @@ def test_direct_coupling_block(basis4):
     assert ham.h_gm[i1, i2] == pytest.approx(gm)
     assert ham.h_gm[i2, i3] == pytest.approx(gm)
     assert ham.h_gm[i1, i3] == 0.0
+
+
+@pytest.mark.parametrize("gm_mhz", [0.0, 4.0])
+def test_one_photon_hamiltonian_is_the_full_block(gm_mhz):
+    # every entry is omega, g or G_M times 1 in both builders, so the block
+    # matches exactly; unequal couplings and frequencies pin each position
+    import dataclasses
+
+    spec = reference_spec(4, gm_mhz=gm_mhz, couplings_mhz=[50.0, 43.0, 57.5, 61.0])
+    resonators = list(spec.resonators)
+    resonators[2] = dataclasses.replace(resonators[2], freq_ghz=5.7623)
+    spec = dataclasses.replace(spec, resonators=tuple(resonators))
+    basis = build_basis(5, cutoff=1, excitation_cap=1)
+    omega_ref = spec.omegas[0]
+    full = shift_frame(build_full(spec, basis).h_full, basis, omega_ref)
+    block = [single_photon_index(basis, m) for m in range(5)]
+    h = one_photon_hamiltonian(spec, omega_ref)
+    assert h.shape == (5, 5) and h.dtype == complex
+    assert np.array_equal(h, full[np.ix_(block, block)])
+    assert h[1, 2] == h[3, 4] == spec.gm and h[1, 3] == 0.0
 
 
 def test_mode_count_mismatch_rejected(spec3):
