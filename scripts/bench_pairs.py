@@ -15,7 +15,10 @@ under "cli"), each side's median and quartiles (and the raw values), the
 number of pairs the change won (ties count for neither side), the relative
 change of the medians and the parent's interquartile range, together with
 both git SHAs (commit and src/ tree), the settings and the environment
-stamp of the first run on each side.  Which direction is better is read
+stamp of the first run on each side.  Under "call_s" it keeps, per
+workload, side and benchmark call, the median, quartiles and raw values
+of that call's per-run median seconds (the "call_s" of each run's record),
+which shows which call moved when a pass time does.  Which direction is better is read
 from the change's BENCHMARK.json.  Exits 1 when a run fails or reports
 incorrect outputs.
 """
@@ -63,6 +66,7 @@ def main(argv=None) -> int:
     seconds = float(spec["run_seconds"])
 
     values = {w: {side: {m: [] for m in better} for side in SIDES} for w in workloads}
+    call_s = {w: {side: {} for side in SIDES} for w in workloads}
     environment = {}
     for w in workloads:
         for i, seed in enumerate(seeds):
@@ -72,9 +76,11 @@ def main(argv=None) -> int:
                     return 1
                 for m in better:
                     values[w][side][m].append(result["metrics"][m]["value"])
-                if side not in environment and record_path is not None:
+                if record_path is not None:
                     record = json.loads(record_path.read_text(encoding="utf-8"))
-                    environment[side] = record.get("environment")
+                    environment.setdefault(side, record.get("environment"))
+                    for call, seconds_per_call in record.get("call_s", {}).items():
+                        call_s[w][side].setdefault(call, []).append(seconds_per_call)
             print(f"{w} seed={seed}: parent pass_s {values[w]['parent']['pass_s'][-1]:.4f}, "
                   f"change pass_s {values[w]['change']['pass_s'][-1]:.4f}", flush=True)
 
@@ -101,6 +107,8 @@ def main(argv=None) -> int:
                           for m in better} for w in workloads},
         "cli": {name: _compare(cli["parent"][name], cli["change"][name], "lower")
                 for name in CLI_COMMANDS},
+        "call_s": {w: {side: {call: _quartiles(v) for call, v in call_s[w][side].items()}
+                       for side in SIDES} for w in workloads},
     }
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")

@@ -11,14 +11,16 @@ the base system; fixed-time quantities are evaluated at the first
 equal-population instant of the homogeneous n-resonator network, with the
 comparison state pinned there (shorter operation times suffer less decay).
 
-The single-photon scenarios damp every mode at one rate kappa under a
-Hamiltonian that only hops the photon (basis capped at one excitation), so
-the one-photon block evolves as exp(-kappa t / 2) exp(-i h t) and every
-jump lands in vacuum: damped populations and fidelities are exactly
-exp(-kappa t) times the unitary ones.  They take kappa from their own
-arguments and, like optimize_g1 (which runs without decay), refuse a spec
-with decay rates.  Only the Werner sweep (up to three photons, rates per
-mode from the spec) runs the master equation.
+The single-photon scenarios and optimize_g1 propagate the photon's n + 1
+amplitudes (bus first) under the one-photon block of the ab initio
+Hamiltonian, in the frame rotating at the first resonator.  The scenarios
+damp every mode at one rate kappa; the Hamiltonian only hops the photon,
+so the block evolves as exp(-kappa t / 2) exp(-i h t) and every jump lands
+in vacuum: damped populations and fidelities are exactly exp(-kappa t)
+times the unitary ones.  They take kappa from their own arguments and,
+like optimize_g1 (which runs without decay), refuse a spec with decay
+rates.  Only the Werner sweep (up to three photons, rates per mode from
+the spec) builds a Fock basis and runs the master equation.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import amplitude_grid, find_w_crossings
+from .analytic import amplitude_grid, amplitudes_homogeneous, find_w_crossings
 from .dynamics import TimeGrid, evolve_lindblad_batch, evolve_unitary
-from .fockspace import FockBasis, annihilation, build_basis, single_photon_index
+from .fockspace import annihilation, build_basis
 from .hamiltonians import build_full, one_photon_hamiltonian, shift_frame
 from .model import SystemSpec, ResonatorSpec, derive_dispersive, spec_to_dict
 from .observables import (
@@ -42,7 +44,6 @@ from .observables import (
     fidelity_dm,
     fidelity_pure_target,
     ideal_target,
-    single_photon_populations,
     werner_initial,
 )
 
@@ -91,6 +92,8 @@ def reference_spec(
 ) -> SystemSpec:
     """Standard working point: bus at 6.75 GHz, resonators at 5.75 GHz,
     couplings 50 MHz (g/Delta = 0.05), one kappa for every mode."""
+    if n < 2:
+        raise ValueError(f"need at least 2 distant resonators, got {n}")
     if couplings_mhz is None:
         couplings_mhz = [50.0] * n
     if len(couplings_mhz) != n:
@@ -138,11 +141,9 @@ def scenario_population(
     x = np.linspace(0.0, chi_t_max_over_pi, points)
     p_analytic = np.abs(amplitude_grid(n, np.pi * x)) ** 2
 
-    basis = build_basis(n + 1, cutoff=1, excitation_cap=1)
-    h = _frame_hamiltonian(spec, basis)
-    psi0 = _single_photon_state(basis, mode=1)
-    traj = evolve_unitary(h, psi0, grid)
-    p_abinitio = single_photon_populations(traj.states, basis, n)
+    # one-photon amplitudes, bus first: the photon starts in resonator 1
+    traj = evolve_unitary(_one_photon_frame(spec), np.eye(n + 1)[1], grid)
+    p_abinitio = np.abs(traj.states[:, 1:]) ** 2
 
     columns: dict = {"chi_t_over_pi": x}
     for j in range(n):
@@ -177,13 +178,10 @@ def sweep_fidelity_vs_time(
     names = _column_names("f_kappa_{:g}mhz", kappas, "kappas_mhz")
 
     chi_t_star = first_crossing_chi_t(n)
-    basis = build_basis(n + 1, cutoff=1, excitation_cap=1)
-    h = _frame_hamiltonian(spec, basis)
-    target = ideal_target(n, chi_t_star, basis)
-    psi0 = _single_photon_state(basis, mode=1)
     grid = TimeGrid(0.0, np.pi * chi_t_max_over_pi / chi, points)
     x = np.linspace(0.0, chi_t_max_over_pi, points)
-    fid = fidelity_pure_target(evolve_unitary(h, psi0, grid).states, target)
+    traj = evolve_unitary(_one_photon_frame(spec), np.eye(n + 1)[1], grid)
+    fid = fidelity_pure_target(traj.states, _one_photon_target(n, chi_t_star))
 
     columns: dict = {"chi_t_over_pi": x}
     for name, k in zip(names, kappas):
@@ -219,15 +217,14 @@ def sweep_fidelity_map_g2(
         raise ValueError(f"chi_t_over_pi must be finite and nonnegative, got {x.tolist()}")
     times = np.pi * x / chi
     chi_t_star = first_crossing_chi_t(3)
-    basis = build_basis(4, cutoff=1, excitation_cap=1)
-    target = ideal_target(3, chi_t_star, basis)
-    psi0 = _single_photon_state(basis, mode=1)
+    target = _one_photon_target(3, chi_t_star)
     g2_base = spec.resonators[1].g_mhz
 
     def unitary_column(ratio: float) -> np.ndarray:
-        h = _frame_hamiltonian(_with_coupling(spec, 1, g2_base * ratio), basis)
+        h = _one_photon_frame(_with_coupling(spec, 1, g2_base * ratio))
         evals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
-        c0 = vecs.conj().T @ psi0
+        # the photon starts in resonator 1, row 1 of the block
+        c0 = vecs[1].conj()
         states = (np.exp(-1j * np.outer(times, evals)) * c0) @ vecs.T
         return fidelity_pure_target(states, target)
 
@@ -266,13 +263,10 @@ def sweep_gm(
 
     chi_t_star = first_crossing_chi_t(3)
     t_star = chi_t_star / chi
-    basis = build_basis(4, cutoff=1, excitation_cap=1)
-    target = ideal_target(3, chi_t_star, basis)
-    psi0 = _single_photon_state(basis, mode=1)
     grid = TimeGrid(0.0, t_star, 2)
-    hs = [_frame_hamiltonian(replace(spec, gm_mhz=gm), basis) for gm in gm_values]
-    final = np.array([evolve_unitary(h, psi0, grid).states[-1] for h in hs])
-    fid = fidelity_pure_target(final, target)
+    hs = [_one_photon_frame(replace(spec, gm_mhz=gm)) for gm in gm_values]
+    final = np.array([evolve_unitary(h, np.eye(4)[1], grid).states[-1] for h in hs])
+    fid = fidelity_pure_target(final, _one_photon_target(3, chi_t_star))
 
     columns: dict = {
         "g_over_gm": np.array(ratios),
@@ -310,7 +304,7 @@ def sweep_werner(
     t_star = chi_t_star / chi
     basis = build_basis(4, cutoff=1, excitation_cap=3)
     target = ideal_target(3, chi_t_star, basis)
-    h = _frame_hamiltonian(spec, basis)
+    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
     rho0 = np.stack(
         [
             werner_initial(WernerParams(float(p), np.pi * th), basis)
@@ -382,16 +376,13 @@ def optimize_g1(
             f"interval [{lo:g}, {hi:g}] MHz"
         )
 
-    # one-photon amplitudes, bus first: the photon starts in resonator 1
-    psi0 = np.zeros(n + 1, dtype=complex)
-    psi0[1] = 1.0
     x = np.linspace(0.0, chi_t_max_over_pi, 8001)
 
     def linf_curve(g1_mhz: float) -> np.ndarray:
         varied = _with_coupling(spec, 0, g1_mhz)
         chi_ref = float(derive_dispersive(varied).chi[-1, -2])
-        h = one_photon_hamiltonian(varied, varied.omegas[0])
-        traj = evolve_unitary(h, psi0, TimeGrid(0.0, np.pi * x[-1] / chi_ref, len(x)))
+        window = TimeGrid(0.0, np.pi * x[-1] / chi_ref, len(x))
+        traj = evolve_unitary(_one_photon_frame(varied), np.eye(n + 1)[1], window)
         p = np.abs(traj.states[:, 1:]) ** 2
         return np.max(np.abs(p - 1.0 / n), axis=1)
 
@@ -511,15 +502,16 @@ def _homogeneous(spec: SystemSpec | None, n: int) -> tuple[SystemSpec, float]:
     return spec, model.chi_homogeneous
 
 
-def _frame_hamiltonian(spec: SystemSpec, basis: FockBasis) -> np.ndarray:
-    """Ab initio Hamiltonian in the frame rotating at the first resonator."""
-    return shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+def _one_photon_frame(spec: SystemSpec) -> np.ndarray:
+    """One-photon block of the ab initio Hamiltonian (bus at index 0) in the
+    frame rotating at the first resonator."""
+    return one_photon_hamiltonian(spec, spec.omegas[0])
 
 
-def _single_photon_state(basis: FockBasis, mode: int) -> np.ndarray:
-    psi = np.zeros(basis.dim, dtype=complex)
-    psi[single_photon_index(basis, mode)] = 1.0
-    return psi
+def _one_photon_target(n: int, chi_t: float) -> np.ndarray:
+    """ideal_target in the layout of the one-photon block: bus amplitude 0,
+    then the conjugated closed-form amplitudes of the n resonators."""
+    return np.concatenate(([0.0], np.conj(amplitudes_homogeneous(n, chi_t))))
 
 
 def _with_coupling(spec: SystemSpec, index: int, g_mhz: float) -> SystemSpec:

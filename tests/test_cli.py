@@ -200,9 +200,11 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
     assert main(["optimize-g1", "--search-mhz", "80:50"]) == 2
     assert main(["gm-sweep", "--kappas-mhz", "-1", "--out", "gm.csv"]) == 2
     assert main(["fidelity", "--kappas-mhz", "-0.1", "--out", "f.csv"]) == 2
+    assert main(["evolve", "--n", "-2", "--out", "e.csv"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 5
+    assert err.count("error:") == 6
     assert err.count("decay rate must be finite and nonnegative") == 2
+    assert "need at least 2 distant resonators, got -2" in err
     assert list(tmp_path.iterdir()) == []
 
 

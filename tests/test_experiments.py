@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from resonatorsim import (
     sweep_werner,
     write_result,
 )
+from resonatorsim import experiments
 from resonatorsim.experiments import _distinct_minima, _with_coupling
 
 
@@ -44,6 +46,9 @@ def test_reference_spec_values():
     assert spec.gm_mhz == 1.0
     with pytest.raises(ValueError):
         reference_spec(3, couplings_mhz=[50.0, 50.0])
+    for n in (-2, 0, 1):
+        with pytest.raises(ValueError, match=f"need at least 2 distant resonators, got {n}$"):
+            reference_spec(n)
 
 
 def test_first_crossing_values():
@@ -178,6 +183,25 @@ def test_map_factorization_matches_master_equation():
         ):
             with pytest.raises(ValueError, match=match):
                 sweep_fidelity_map_g2(**kwargs)
+
+
+def test_single_photon_scenarios_build_no_fock_basis(monkeypatch):
+    # they run on the (n+1) x (n+1) one-photon block; the master-equation
+    # references above are their Fock-basis oracle
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single-photon scenario built a Fock basis")
+
+    monkeypatch.setattr(experiments, "build_basis", refuse)
+    monkeypatch.setattr(experiments, "build_full", refuse)
+    scenario_population(3, points=5)
+    scenario_population(4, with_kappa_mhz=0.5, points=5)
+    sweep_fidelity_vs_time(3, points=5)
+    sweep_gm(ratios=(math.inf, 10.0))
+    sweep_fidelity_map_g2(g2_ratios=[0.8, 1.0], chi_t_over_pi=[0.1, 0.2])
+    optimize_g1(5, grid_points=3)
+    # the Werner sweep keeps its Fock basis, so the patch is live
+    with pytest.raises(AssertionError, match="Fock basis"):
+        sweep_werner(p_grid=[0.5])
 
 
 @pytest.mark.parametrize(
