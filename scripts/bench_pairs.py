@@ -9,9 +9,13 @@ goes first from one pair to the next, and reads the end-to-end metrics
 from the last line of its output.  Then, once per seed and in the same
 alternating order, it times two commands on each side, each run as
 `python -m resonatorsim` from a fresh working directory: `all` and the
-`crossings --n 3` cold start.  It writes BENCH_<pr>.json in the current
-directory: per workload and metric, and per CLI command (wall seconds,
-under "cli"), each side's median and quartiles (and the raw values), the
+`crossings --n 3` cold start.  In the same loop it times the tier-1 suite
+once per side, `python -m pytest -q` in the checkout with its src/ on
+PYTHONPATH, and records its passed and failed counts under "suite"; pytest's
+exit code 1 (some tests failed) is a result, not a failed run.  It writes
+BENCH_<pr>.json in the current directory: per workload and metric, per CLI
+command (wall seconds, under "cli") and for the suite (wall seconds, under
+"suite"), each side's median and quartiles (and the raw values), the
 number of pairs the change won (ties count for neither side), the relative
 change of the medians and the parent's interquartile range, together with
 both git SHAs (commit and src/ tree), the settings and the environment
@@ -19,8 +23,8 @@ stamp of the first run on each side.  Under "call_s" it keeps, per
 workload, side and benchmark call, the median, quartiles and raw values
 of that call's per-run median seconds (the "call_s" of each run's record),
 which shows which call moved when a pass time does.  Which direction is better is read
-from the change's BENCHMARK.json.  Exits 1 when a run fails or reports
-incorrect outputs.
+from the change's BENCHMARK.json.  Exits 1 when a run fails, reports
+incorrect outputs, or the suite does not finish with a pass/fail count.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ CLI_COMMANDS = {
     "all_s": ["all", "--outdir", "results"],
     "crossings_n3_s": ["crossings", "--n", "3"],
 }
+
+#: the tier-1 suite, run in the checkout with its src/ on PYTHONPATH
+SUITE_COMMAND = ["-m", "pytest", "-q"]
 
 
 def main(argv=None) -> int:
@@ -85,6 +92,7 @@ def main(argv=None) -> int:
                   f"change pass_s {values[w]['change']['pass_s'][-1]:.4f}", flush=True)
 
     cli = {side: {name: [] for name in CLI_COMMANDS} for side in SIDES}
+    suite = {side: {"wall_s": [], "passed": [], "failed": []} for side in SIDES}
     for i in range(len(seeds)):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             for name, argv in CLI_COMMANDS.items():
@@ -92,27 +100,40 @@ def main(argv=None) -> int:
                 if wall is None:
                     return 1
                 cli[side][name].append(wall)
+            run = _time_suite(dirs[side])
+            if run is None:
+                return 1
+            for key, value in run.items():
+                suite[side][key].append(value)
         print(f"cli pair {i + 1}: " + ", ".join(
             f"{name} {cli['parent'][name][-1]:.3f} / {cli['change'][name][-1]:.3f}"
-            for name in CLI_COMMANDS), flush=True)
+            for name in CLI_COMMANDS) + ", suite " + " / ".join(
+            f"{suite[side]['wall_s'][-1]:.2f} s ({suite[side]['passed'][-1]} passed, "
+            f"{suite[side]['failed'][-1]} failed)" for side in SIDES), flush=True)
 
     summary = {
         "settings": {"workloads": workloads, "seeds": seeds, "seconds": seconds,
                      "command": "bench/run.py --trace 0", "order": "alternating per pair",
                      "cli_commands": {name: ["python", "-m", "resonatorsim", *argv]
-                                      for name, argv in CLI_COMMANDS.items()}},
+                                      for name, argv in CLI_COMMANDS.items()},
+                     "suite_command": ["python", *SUITE_COMMAND]},
         "git_sha": {side: _git_sha(dirs[side]) for side in SIDES},
         "environment": environment,
         "workloads": {w: {m: _compare(values[w]["parent"][m], values[w]["change"][m], better[m])
                           for m in better} for w in workloads},
         "cli": {name: _compare(cli["parent"][name], cli["change"][name], "lower")
                 for name in CLI_COMMANDS},
+        "suite": {"wall_s": _compare(suite["parent"]["wall_s"], suite["change"]["wall_s"],
+                                     "lower"),
+                  **{key: {side: suite[side][key] for side in SIDES}
+                     for key in ("passed", "failed")}},
         "call_s": {w: {side: {call: _quartiles(v) for call, v in call_s[w][side].items()}
                        for side in SIDES} for w in workloads},
     }
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
-    for group, rows in [*summary["workloads"].items(), ("cli", summary["cli"])]:
+    for group, rows in [*summary["workloads"].items(), ("cli", summary["cli"]),
+                        ("suite", {"wall_s": summary["suite"]["wall_s"]})]:
         for m, row in rows.items():
             print(f"{group} {m}: {row['parent']['median']:.4g} -> {row['change']['median']:.4g} "
                   f"({row['median_change']:+.1%}), change better in {row['wins']}/{row['pairs']}")
@@ -147,12 +168,17 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float):
     return result, (checkout / found.group(1) if found else None)
 
 
-def _time_cli(checkout: Path, argv: list[str]):
-    """Wall seconds of `python -m resonatorsim ARGV` run from the checkout's
-    src/ in a fresh directory, or None when it fails."""
+def _src_env(checkout: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"),
                                                       env.get("PYTHONPATH")]))
+    return env
+
+
+def _time_cli(checkout: Path, argv: list[str]):
+    """Wall seconds of `python -m resonatorsim ARGV` run from the checkout's
+    src/ in a fresh directory, or None when it fails."""
+    env = _src_env(checkout)
     cmd = [sys.executable, "-m", "resonatorsim", *argv]
     with tempfile.TemporaryDirectory() as workdir:
         start = time.perf_counter()
@@ -164,6 +190,25 @@ def _time_cli(checkout: Path, argv: list[str]):
               f"{done.stderr[-2000:]}", file=sys.stderr)
         return None
     return wall
+
+
+def _time_suite(checkout: Path):
+    """Wall seconds and passed/failed counts of the checkout's tier-1 suite,
+    or None when pytest does not get as far as running the tests (an exit
+    code other than 0, all passed, or 1, some failed)."""
+    cmd = [sys.executable, *SUITE_COMMAND]
+    start = time.perf_counter()
+    done = subprocess.run(cmd, cwd=checkout, env=_src_env(checkout), capture_output=True,
+                          text=True, timeout=1800)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    counts = {word: int(n) for n, word in
+              re.findall(r"(\d+) (passed|failed)", lines[-1] if lines else "")}
+    if done.returncode not in (0, 1) or not counts:
+        print(f"error: {' '.join(cmd)} in {checkout} exited {done.returncode}:\n"
+              f"{(done.stdout + done.stderr)[-2000:]}", file=sys.stderr)
+        return None
+    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
 
 
 def _quartiles(values: list[float]) -> dict:

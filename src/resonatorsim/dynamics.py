@@ -5,13 +5,13 @@ Every generator here is constant in time, so each route is exact up to dense
 linear algebra: the unitary route diagonalizes the Hamiltonian and builds
 the phases on its uniform grid from two tables of about sqrt(T) rows each
 (its states are a time-last table seen through a transposed view), the Lindblad
-route exponentiates the vectorized Liouvillian over one grid spacing, once per
-distinct generator in the batch and only on the entries reachable from the
-initial support, and the reduced amplitudes are a unitary problem in a
-rotated frame.  All routes treat the initial state as the state
-at grid.t_start.  Trace (Lindblad) and norm (amplitudes) are conserved
-exactly by these generators, so each trajectory is checked for them
-afterwards.
+route assembles the vectorized Liouvillian on the entries reachable from the
+initial support and exponentiates it over one grid spacing (Pade scaling and
+squaring in numpy), once per distinct generator in the batch, and the reduced
+amplitudes are a unitary problem in a rotated frame.  All routes treat the
+initial state as the state at grid.t_start.  Trace (Lindblad) and norm
+(amplitudes) are conserved exactly by these generators, so each trajectory
+is checked for them afterwards.
 """
 
 from __future__ import annotations
@@ -21,9 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: largest Hilbert dimension d the Lindblad route accepts; its dense
-#: d^2 x d^2 superoperator takes 16 d^4 bytes (17 MB at d = 32)
+#: largest Hilbert dimension d the Lindblad route accepts; a full-rank rho0
+#: makes every entry live, and the dense d^2 x d^2 block then takes 16 d^4
+#: bytes (17 MB at d = 32)
 MAX_LINDBLAD_DIM = 32
+
+# degree-13 Pade approximant of exp and the 1-norm up to which it is accurate
+# to double precision without scaling (Higham, SIAM J. Matrix Anal. Appl. 26,
+# 1179 (2005))
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 _CONSERVATION_TOL = 1.0e-8
 
@@ -85,6 +96,30 @@ def _check_conserved(name: str, values: np.ndarray, initial, times) -> None:
         raise PropagationError(f"{name} drifted by {worst:.3e} at t = {times[k]:.6g} us")
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring of the degree-13 Pade
+    approximant: exp(a) = r(a / 2^s)^(2^s) with the smallest s >= 0 that
+    brings the 1-norm of a / 2^s under theta_13."""
+    norm = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError(f"cannot exponentiate a matrix of 1-norm {norm}")
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
+    a = a * 2.0 ** -s
+    b = _PADE13
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def evolve_unitary(h: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Propagate a state vector under a constant Hamiltonian by
     diagonalization; exact up to the eigensolver.
@@ -124,16 +159,19 @@ def evolve_lindblad_batch(
 
     Each entry's Liouvillian acts on row-major vec(rho) as
     kron(D, I) + kron(I, conj(D)) + sum_k kappa_k kron(xi_k, conj(xi_k)) with
-    D = -i h - sum_k kappa_k xi_k^dag xi_k / 2.  Entries with the same h and
-    the same rates share one generator: it is exponentiated once per
-    distinct generator over the grid spacing, and the stacked vec(rho) of
-    its entries is stepped with one matrix product per grid point.  Only the
-    entries reachable from the initial support are exponentiated and
-    stepped: the nonzero entries of rho0, closed under the union sparsity
-    pattern of the generators.  The generators map that set into itself,
-    so the restriction is exact and every other entry stays exactly zero
-    (a photon-number-conserving h with decay keeps single-photon states in
-    a 17-entry block of 25 at n = 3).
+    D = -i h - sum_k kappa_k xi_k^dag xi_k / 2.  Only the entries reachable
+    from the initial support take part: the nonzero entries of rho0, closed
+    under the union sparsity pattern of the generators.  The generators map
+    that set into itself, so the restriction is exact and every other entry
+    stays exactly zero (a photon-number-conserving h with decay keeps
+    single-photon states in a 17-entry block of 25 at n = 3).  The generator
+    is assembled on those live entries alone: entry ((i, j), (p, q)) is
+    D[i, p] delta_jq + conj(D)[j, q] delta_ip + sum_k kappa_k xi_k[i, p]
+    conj(xi_k)[j, q], the products the Kronecker form holds there, without
+    the d^2 x d^2 array.  Entries with the same h and the same rates share one
+    generator: it is exponentiated once per distinct generator over the
+    grid spacing, and the stacked vec(rho) of its entries is stepped with
+    one matrix product per grid point.
 
     Parameters
     ----------
@@ -145,12 +183,11 @@ def evolve_lindblad_batch(
 
     Returns a Trajectory with states of shape (T, B, d, d).
     """
-    # the package's only scipy use, imported here to keep it off the import path
-    import scipy.linalg
-
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 3 or rho0.shape[1] != rho0.shape[2]:
         raise ValueError(f"rho0 must have shape (B, d, d), got {rho0.shape}")
+    if not np.all(np.isfinite(rho0)):
+        raise ValueError("rho0 entries must be finite")
     nbatch, dim = rho0.shape[0], rho0.shape[1]
     if nbatch == 0:
         raise ValueError("rho0 holds no density matrices: the batch is empty")
@@ -164,6 +201,8 @@ def evolve_lindblad_batch(
         h = np.broadcast_to(h, (nbatch, dim, dim))
     elif h.shape != (nbatch, dim, dim):
         raise ValueError(f"h must have shape ({dim},{dim}) or ({nbatch},{dim},{dim})")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("h entries must be finite")
 
     drift = -1j * h
     jumps = []
@@ -171,6 +210,8 @@ def evolve_lindblad_batch(
         op = np.asarray(op, dtype=complex)
         if op.shape != (dim, dim):
             raise ValueError(f"collapse operator shape {op.shape} does not match dim {dim}")
+        if not np.all(np.isfinite(op)):
+            raise ValueError("collapse operator entries must be finite")
         rate = np.broadcast_to(np.asarray(rate, dtype=float), (nbatch,))
         if not np.all(np.isfinite(rate)):
             raise ValueError("collapse rates must be finite")
@@ -199,15 +240,20 @@ def evolve_lindblad_batch(
         live = grown
     idx = np.flatnonzero(live)
 
-    eye = np.eye(dim)
+    # live entry (i, j) of rho sits at i * d + j of vec(rho)
+    rows, cols = divmod(idx, dim)
+    row_pairs, col_pairs = np.ix_(rows, rows), np.ix_(cols, cols)
+    same_row = rows[:, None] == rows[None, :]
+    same_col = cols[:, None] == cols[None, :]
+    jump_blocks = [op[row_pairs] * op.conj()[col_pairs] for _, op in jumps]
     dt = grid.span / (grid.points - 1)
     out = np.zeros((grid.points, nbatch, dim * dim), dtype=complex)
     for members in groups.values():
         b = members[0]
-        gen = np.kron(drift[b], eye) + np.kron(eye, drift[b].conj())
-        for rate, op in jumps:
-            gen += rate[b] * np.kron(op, op.conj())
-        step_t = scipy.linalg.expm(gen[np.ix_(idx, idx)] * dt).T
+        gen = drift[b][row_pairs] * same_col + drift[b].conj()[col_pairs] * same_row
+        for (rate, _), jump in zip(jumps, jump_blocks):
+            gen += rate[b] * jump
+        step_t = _expm(gen * dt).T
         # rows are the members' live entries of vec(rho); row @ step^T = (step @ vec)^T
         block = np.empty((grid.points, len(members), idx.size), dtype=complex)
         block[0] = rho0[members].reshape(len(members), -1)[:, idx]

@@ -70,16 +70,18 @@ def test_crossings_non_finite_window_exit_2(value, tmp_path, capsys):
 
 
 def test_closed_commands_leave_scipy_unimported(tmp_path):
-    # scipy serves only the master equation, which only the damped Werner
-    # sweep runs; a fresh interpreter shows whether importing the package or
-    # any other command, damped single-photon runs included, pulls it in
+    # no command imports scipy, not even the damped Werner sweep, the one
+    # master-equation run (bus and resonators decay in its config); a fresh
+    # interpreter shows whether importing the package or any command pulls it in
+    cfg = tmp_path / "damped.json"
+    cfg.write_text(json.dumps(spec_to_dict(reference_spec(3, kappa_mhz=0.5))), encoding="utf-8")
     script = (
         "import sys, resonatorsim\n"
         "from resonatorsim.cli import main\n"
         "for argv in (['crossings', '--n', '3'], ['evolve', '--n', '3'], ['map-g2'],\n"
         "             ['werner'], ['optimize-g1', '--n', '5'], ['sw-verify', '--n', '3'],\n"
         "             ['evolve', '--n', '3', '--kappa-mhz', '0.5'], ['fidelity', '--n', '3'],\n"
-        "             ['gm-sweep']):\n"
+        "             ['gm-sweep'], ['werner', '--config', 'damped.json', '--out', 'wd.csv']):\n"
         "    assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )

@@ -29,7 +29,8 @@ from resonatorsim import (
     single_photon_populations_dm,
     werner_initial,
 )
-from resonatorsim.dynamics import MAX_LINDBLAD_DIM
+from resonatorsim import dynamics
+from resonatorsim.dynamics import MAX_LINDBLAD_DIM, _expm
 
 
 def _random_hermitian(rng, d):
@@ -216,13 +217,12 @@ def test_lindblad_batch_matches_single_runs():
 
 def test_lindblad_batch_one_expm_per_distinct_generator(monkeypatch):
     calls = []
-    expm = scipy.linalg.expm
 
     def counting_expm(a):
         calls.append(a.shape)
-        return expm(a)
+        return _expm(a)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(dynamics, "_expm", counting_expm)
     rng = np.random.default_rng(17)
     d = 4
     h = _random_hermitian(rng, d)
@@ -252,23 +252,28 @@ def test_lindblad_batch_one_expm_per_distinct_generator(monkeypatch):
     assert len(calls) == 1
 
 
+def _kron_generator(h, collapse):
+    # the whole d^2 x d^2 generator, assembled term by term from
+    # vec(A X B) = kron(A, B^T) vec(X) for row-major vec; rates are scalars
+    eye = np.eye(h.shape[0])
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for kappa, op in collapse:
+        n_op = op.conj().T @ op
+        gen = gen + kappa * (
+            np.kron(op, op.conj()) - 0.5 * np.kron(n_op, eye) - 0.5 * np.kron(eye, n_op.T)
+        )
+    return gen
+
+
 def _full_generator_reference(h, collapse, rho0, grid):
-    # scipy.linalg.expm of each entry's whole d^2 x d^2 generator, assembled
-    # term by term from vec(A X B) = kron(A, B^T) vec(X) for row-major vec
+    # scipy.linalg.expm of each entry's whole generator
     nbatch, d = rho0.shape[:2]
     h = np.broadcast_to(h, (nbatch, d, d))
-    eye = np.eye(d)
     dt = grid.span / (grid.points - 1)
     out = np.empty((grid.points, nbatch, d, d), dtype=complex)
     for b in range(nbatch):
-        gen = -1j * (np.kron(h[b], eye) - np.kron(eye, h[b].T))
-        for rate, op in collapse:
-            kappa = np.broadcast_to(rate, (nbatch,))[b]
-            n_op = op.conj().T @ op
-            gen = gen + kappa * (
-                np.kron(op, op.conj()) - 0.5 * np.kron(n_op, eye) - 0.5 * np.kron(eye, n_op.T)
-            )
-        step = scipy.linalg.expm(gen * dt)
+        rates = [(np.broadcast_to(rate, (nbatch,))[b], op) for rate, op in collapse]
+        step = scipy.linalg.expm(_kron_generator(h[b], rates) * dt)
         vec = rho0[b].reshape(-1).astype(complex)
         for k in range(grid.points):
             out[k, b] = vec.reshape(d, d)
@@ -279,14 +284,13 @@ def _full_generator_reference(h, collapse, rho0, grid):
 def _recorded_run(monkeypatch, h, collapse, rho0, grid):
     # the propagator's trajectory and the shapes of the matrices it exponentiated
     shapes = []
-    expm = scipy.linalg.expm
 
     def recording_expm(a):
         shapes.append(a.shape)
-        return expm(a)
+        return _expm(a)
 
     with monkeypatch.context() as patch:
-        patch.setattr(scipy.linalg, "expm", recording_expm)
+        patch.setattr(dynamics, "_expm", recording_expm)
         states = evolve_lindblad_batch(h, collapse, rho0, grid).states
     return states, shapes
 
@@ -401,8 +405,6 @@ def test_non_finite_inputs_rejected():
     grid = TimeGrid(0.0, 1.0, 3)
     h_nan = h.copy()
     h_nan[0, 1] = np.nan
-    with pytest.raises(PropagationError, match="trace drifted by nan"):
-        evolve_lindblad(h_nan, [(0.2, op)], rho0, grid)
     with pytest.raises(ValueError, match="finite"):
         evolve_unitary(h_nan, np.eye(d)[0], grid)
     for bad in (np.nan, np.inf):
@@ -410,6 +412,86 @@ def test_non_finite_inputs_rejected():
             evolve_lindblad(h, [(bad, op)], rho0, grid)
         with pytest.raises(ValueError, match="finite"):
             evolve_lindblad_batch(h, [(np.array([0.1, bad]), op)], np.stack([rho0, rho0]), grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("argument", ["h", "collapse operator", "rho0"])
+def test_lindblad_non_finite_input_names_argument(argument, bad):
+    # rejected before any propagation, not reported as a drifted trace
+    rng = np.random.default_rng(31)
+    d = 3
+    inputs = {
+        "h": _random_hermitian(rng, d),
+        "collapse operator": rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
+        "rho0": _random_density(rng, d),
+    }
+    inputs[argument][1, 2] = bad
+    with pytest.raises(ValueError, match=f"^{argument} entries must be finite"):
+        evolve_lindblad_batch(
+            inputs["h"], [(0.2, inputs["collapse operator"])], inputs["rho0"][None],
+            TimeGrid(0.0, 1.0, 3),
+        )
+
+
+def _assert_expm_matches_scipy(a):
+    expected = scipy.linalg.expm(a)
+    atol = 1.0e-13 * max(1.0, float(np.max(np.abs(expected))))
+    np.testing.assert_allclose(_expm(a), expected, rtol=0, atol=atol)
+
+
+def test_expm_small_and_structured_matrices():
+    rng = np.random.default_rng(37)
+    _assert_expm_matches_scipy(np.zeros((5, 5), dtype=complex))
+    tiny = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    _assert_expm_matches_scipy(1.0e-12 * tiny / np.max(np.sum(np.abs(tiny), axis=0)))
+    jordan = np.diag(np.full(8, -0.7 + 2.0j)) + np.diag(np.ones(7), 1)
+    _assert_expm_matches_scipy(jordan)
+    # a nilpotent shift of 1-norm 360: its exponential is the finite series
+    # with entries 360^k / k! up to k = 5
+    shift = np.diag(np.full(5, 360.0), 1)
+    _assert_expm_matches_scipy(shift)
+    series = sum(np.linalg.matrix_power(shift, k) / np.prod(np.arange(1.0, k + 1)) for k in range(6))
+    np.testing.assert_allclose(_expm(shift), series, rtol=0, atol=1.0e-13 * np.max(series))
+
+
+@pytest.mark.parametrize("norm", [1.0e-3, 0.1, 1.0, 5.37, 30.0, 300.0, 5.0e3])
+@pytest.mark.parametrize("kind", ["anti-hermitian", "non-normal"])
+def test_expm_matches_scipy_across_norms(kind, norm):
+    # 1-norms on both sides of theta_13 = 5.37, so from no squaring to ten;
+    # the non-normal matrices are a drift -i H - K with K >= 0, whose
+    # exponential stays of order one at every norm
+    rng = np.random.default_rng(41)
+    d = 20
+    h = _random_hermitian(rng, d)
+    a = -1j * h * (norm / np.max(np.sum(np.abs(h), axis=0)))
+    if kind == "non-normal":
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        k = m.conj().T @ m
+        a = a - k * (min(norm, 4.0) / np.max(np.sum(np.abs(k), axis=0)))
+        a *= norm / np.max(np.sum(np.abs(a), axis=0))
+        # [a, a^dag] = 2i [H, K] up to scale: far from zero
+        assert np.max(np.abs(a @ a.conj().T - a.conj().T @ a)) > 1.0e-3 * norm * min(norm, 4.0)
+    _assert_expm_matches_scipy(a)
+
+
+def test_expm_of_the_werner_generator():
+    # the 69 x 69 block sweep_werner exponentiates at n = 3, cut from the
+    # Kronecker generator over the occupied photon-number sectors
+    spec = reference_spec(3)
+    basis = build_basis(4, cutoff=1, excitation_cap=3)
+    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    ops = [(0.7, annihilation(basis, 0))] + [(0.2, annihilation(basis, m)) for m in (1, 2, 3)]
+    t_star = (2.0 * np.pi / 9.0) / derive_dispersive(spec).chi_homogeneous
+    idx = np.flatnonzero(_sector_mask(basis, {(k, k) for k in range(4)}))
+    _assert_expm_matches_scipy(_kron_generator(h, ops)[np.ix_(idx, idx)] * t_star)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_rejects_non_finite_norm(bad):
+    a = np.eye(3, dtype=complex)
+    a[0, 2] = bad
+    with pytest.raises(ValueError, match="1-norm"):
+        _expm(a)
 
 
 def test_lindblad_preserves_hermiticity_and_positivity():
