@@ -254,7 +254,7 @@ def sweep_gm(
     g_mhz = spec.resonators[0].g_mhz
     ratios = [float(r) for r in ratios]
     _require_nonempty(ratios=ratios)
-    if any(r <= 0 for r in ratios):
+    if any(not r > 0 for r in ratios):  # NaN too: it fails every comparison
         raise ValueError(f"coupling ratios must be positive, got {ratios}")
     kappas = [float(k) for k in kappas_mhz]
     _require_rate(*kappas)

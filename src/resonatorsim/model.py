@@ -9,6 +9,7 @@ so kappa = 0.5 MHz corresponds to a 2 us photon lifetime.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -242,24 +243,25 @@ def spec_from_dict(cfg: dict) -> SystemSpec:
         raise ValueError("config 'resonators' must be a non-empty list")
     resonators = []
     for j, entry in enumerate(entries):
+        where = f"resonator {j + 1}"
         if not isinstance(entry, dict):
-            raise ValueError(f"resonator {j + 1} entry must be an object")
-        _reject_unknown(entry, _RES_KEYS, f"resonator {j + 1}")
+            raise ValueError(f"{where} entry must be an object")
+        _reject_unknown(entry, _RES_KEYS, where)
         for key in ("freq_ghz", "g_mhz"):
             if key not in entry:
-                raise ValueError(f"resonator {j + 1} entry is missing '{key}'")
+                raise ValueError(f"{where} entry is missing '{key}'")
         resonators.append(
             ResonatorSpec(
-                freq_ghz=float(entry["freq_ghz"]),
-                g_mhz=float(entry["g_mhz"]),
-                kappa_mhz=float(entry.get("kappa_mhz", 0.0)),
+                freq_ghz=_number(entry, "freq_ghz", where),
+                g_mhz=_number(entry, "g_mhz", where),
+                kappa_mhz=_number(entry, "kappa_mhz", where),
             )
         )
     return SystemSpec(
-        bus_freq_ghz=float(bus["freq_ghz"]),
-        bus_kappa_mhz=float(bus.get("kappa_mhz", 0.0)),
+        bus_freq_ghz=_number(bus, "freq_ghz", "bus"),
+        bus_kappa_mhz=_number(bus, "kappa_mhz", "bus"),
         resonators=tuple(resonators),
-        gm_mhz=float(cfg.get("gm_mhz", 0.0)),
+        gm_mhz=_number(cfg, "gm_mhz", "config"),
     )
 
 
@@ -285,6 +287,19 @@ def load_spec(path) -> SystemSpec:
     except json.JSONDecodeError as err:
         raise ValueError(f"config file {p} is not valid JSON: {err}") from None
     return spec_from_dict(cfg)
+
+
+def _number(mapping: dict, key: str, where: str) -> float:
+    """mapping[key] (0.0 when absent) as a float; only a JSON number is
+    accepted, so null, strings and booleans are refused by name."""
+    value = mapping.get(key, 0.0)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        got = json.dumps(value, default=repr)
+        raise ValueError(f"{where} '{key}' must be a number, got {got}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} '{key}' is too large for a float") from None
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:

@@ -255,7 +255,7 @@ def test_criterion_10_werner_limit_and_affinity():
 
 
 def test_criterion_11_frame_transformation_identities():
-    rep = verify_sw_identities(reference_spec(3), build_basis(4, cutoff=1, excitation_cap=1))
+    rep = verify_sw_identities(reference_spec(3))
     ok = (
         rep.r1 <= 1.0e-10
         and rep.eigenvalue_drift <= 1.0e-10

@@ -196,6 +196,16 @@ def test_non_finite_config_exit_2(tmp_path, capsys):
     assert not (tmp_path / "sw.json").exists()
 
 
+def test_non_number_config_exit_2(tmp_path, capsys):
+    data = spec_to_dict(reference_spec(3))
+    data["resonators"][0]["freq_ghz"] = None
+    cfg = tmp_path / "null.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["sw-verify", "--config", str(cfg), "--out", "sw.json"]) == 2
+    assert "resonator 1 'freq_ghz' must be a number, got null" in capsys.readouterr().err
+    assert not (tmp_path / "sw.json").exists()
+
+
 def test_bad_flag_values_exit_2(tmp_path, capsys):
     assert main(["fidelity", "--kappas-mhz", "0,oops"]) == 2
     assert main(["optimize-g1", "--search-mhz", "5080"]) == 2
@@ -207,6 +217,12 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
     assert err.count("error:") == 6
     assert err.count("decay rate must be finite and nonnegative") == 2
     assert "need at least 2 distant resonators, got -2" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gm_sweep_nan_ratio_exit_2(tmp_path, capsys):
+    assert main(["gm-sweep", "--ratios", "inf,nan", "--out", "gm.csv"]) == 2
+    assert "coupling ratios must be positive, got [inf, nan]" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -113,6 +113,13 @@ def test_fidelity_sweep_kappa_zero_peak():
             sweep_gm(ratios=[])
 
 
+@pytest.mark.parametrize("ratios", [[np.nan], [math.inf, np.nan], [0.0], [10.0, -1.0]])
+def test_gm_sweep_refuses_non_positive_and_nan_ratios(ratios):
+    # NaN passes a `r <= 0` check and used to surface as "gm_mhz must be finite"
+    with pytest.raises(ValueError, match="coupling ratios must be positive"):
+        sweep_gm(ratios=ratios)
+
+
 def _master_equation(spec, kappa, t_end, points=2):
     """Reference damped run from one photon in resonator 1, with collapse
     a_m at kappa on all n + 1 modes: basis and density matrices on the grid."""

@@ -111,6 +111,41 @@ def test_unknown_keys_rejected():
         spec_from_dict(data)
 
 
+_CONFIG_NUMBERS = [
+    ("bus", "freq_ghz"),
+    ("bus", "kappa_mhz"),
+    ("resonator 2", "freq_ghz"),
+    ("resonator 2", "g_mhz"),
+    ("resonator 2", "kappa_mhz"),
+    ("config", "gm_mhz"),
+]
+
+
+def _set_config_number(data, where, key, value):
+    target = {"bus": data["bus"], "config": data}.get(where, data["resonators"][1])
+    target[key] = value
+
+
+@pytest.mark.parametrize("value", [None, True, False, "5e1", [50.0]])
+@pytest.mark.parametrize("where, key", _CONFIG_NUMBERS)
+def test_config_numbers_must_be_json_numbers(where, key, value):
+    # float() would turn true into 1 and "5e1" into 50, and null into a TypeError
+    data = spec_to_dict(reference_spec(2))
+    _set_config_number(data, where, key, value)
+    with pytest.raises(ValueError, match=f"^{where} '{key}' must be a number, got "):
+        spec_from_dict(data)
+
+
+@pytest.mark.parametrize("where, key", _CONFIG_NUMBERS)
+def test_config_numbers_accept_integers_and_refuse_overflow(where, key):
+    data = spec_to_dict(reference_spec(2))
+    _set_config_number(data, where, key, 7)
+    assert spec_to_dict(spec_from_dict(data)) == data
+    _set_config_number(data, where, key, 10**400)
+    with pytest.raises(ValueError, match=f"^{where} '{key}' is too large"):
+        spec_from_dict(data)
+
+
 def test_negative_coupling_rejected():
     with pytest.raises(ValueError):
         ResonatorSpec(5.75, -1.0)
