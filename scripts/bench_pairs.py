@@ -9,12 +9,16 @@ goes first from one pair to the next, and reads the end-to-end metrics
 from the last line of its output.  Then, once per seed and in the same
 alternating order, it times two commands on each side, each run as
 `python -m resonatorsim` from a fresh working directory: `all` and the
-`crossings --n 3` cold start.  In the same loop it times the tier-1 suite
-once per side, `python -m pytest -q` in the checkout with its src/ on
-PYTHONPATH, and records its passed and failed counts under "suite"; pytest's
-exit code 1 (some tests failed) is a result, not a failed run.  It writes
-BENCH_<pr>.json in the current directory: per workload and metric, per CLI
-command (wall seconds, under "cli") and for the suite (wall seconds, under
+`crossings --n 3` cold start.  With each wall time it keeps the command's
+minor page faults, the RUSAGE_CHILDREN ru_minflt delta across the run
+(`all_minflt`, `crossings_n3_minflt`): a count of the fresh pages the
+process took, nearly the same from run to run where wall time is noisy.
+In the same loop it times the tier-1 suite once per side, `python -m
+pytest -q` in the checkout with its src/ on PYTHONPATH, and records its
+passed and failed counts under "suite"; pytest's exit code 1 (some tests
+failed) is a result, not a failed run.  It writes BENCH_<pr>.json in the
+current directory: per workload and metric, per CLI command (wall seconds
+and minor page faults, under "cli") and for the suite (wall seconds, under
 "suite"), each side's median and quartiles (and the raw values), the
 number of pairs the change won (ties count for neither side), the relative
 change of the medians and the parent's interquartile range, together with
@@ -33,6 +37,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -91,15 +96,17 @@ def main(argv=None) -> int:
             print(f"{w} seed={seed}: parent pass_s {values[w]['parent']['pass_s'][-1]:.4f}, "
                   f"change pass_s {values[w]['change']['pass_s'][-1]:.4f}", flush=True)
 
-    cli = {side: {name: [] for name in CLI_COMMANDS} for side in SIDES}
+    cli_keys = [*CLI_COMMANDS, *map(_minflt_key, CLI_COMMANDS)]
+    cli = {side: {key: [] for key in cli_keys} for side in SIDES}
     suite = {side: {"wall_s": [], "passed": [], "failed": []} for side in SIDES}
     for i in range(len(seeds)):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             for name, argv in CLI_COMMANDS.items():
-                wall = _time_cli(dirs[side], argv)
-                if wall is None:
+                run = _time_cli(dirs[side], argv)
+                if run is None:
                     return 1
-                cli[side][name].append(wall)
+                cli[side][name].append(run[0])
+                cli[side][_minflt_key(name)].append(run[1])
             run = _time_suite(dirs[side])
             if run is None:
                 return 1
@@ -121,8 +128,8 @@ def main(argv=None) -> int:
         "environment": environment,
         "workloads": {w: {m: _compare(values[w]["parent"][m], values[w]["change"][m], better[m])
                           for m in better} for w in workloads},
-        "cli": {name: _compare(cli["parent"][name], cli["change"][name], "lower")
-                for name in CLI_COMMANDS},
+        "cli": {key: _compare(cli["parent"][key], cli["change"][key], "lower")
+                for key in cli_keys},
         "suite": {"wall_s": _compare(suite["parent"]["wall_s"], suite["change"]["wall_s"],
                                      "lower"),
                   **{key: {side: suite[side][key] for side in SIDES}
@@ -175,21 +182,28 @@ def _src_env(checkout: Path) -> dict:
     return env
 
 
+def _minflt_key(name: str) -> str:
+    """The page-fault entry of a CLI wall-time entry: all_s -> all_minflt."""
+    return name.removesuffix("_s") + "_minflt"
+
+
 def _time_cli(checkout: Path, argv: list[str]):
-    """Wall seconds of `python -m resonatorsim ARGV` run from the checkout's
-    src/ in a fresh directory, or None when it fails."""
+    """Wall seconds and minor page faults of `python -m resonatorsim ARGV`
+    run from the checkout's src/ in a fresh directory, or None when it fails."""
     env = _src_env(checkout)
     cmd = [sys.executable, "-m", "resonatorsim", *argv]
     with tempfile.TemporaryDirectory() as workdir:
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
         start = time.perf_counter()
         done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True,
                               timeout=600)
         wall = time.perf_counter() - start
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if done.returncode != 0:
         print(f"error: {' '.join(cmd)} from {checkout} exited {done.returncode}:\n"
               f"{done.stderr[-2000:]}", file=sys.stderr)
         return None
-    return wall
+    return wall, faults
 
 
 def _time_suite(checkout: Path):

@@ -4,7 +4,9 @@ the reduced amplitude equations of the bus-eliminated model.
 Every generator here is constant in time, so each route is exact up to dense
 linear algebra: the unitary route diagonalizes the Hamiltonian and builds
 the phases on its uniform grid from two tables of about sqrt(T) rows each
-(its states are a time-last table seen through a transposed view), the Lindblad
+(its states are a time-last table seen through a transposed view; the
+product, _phase_product, writes into a buffer its caller passes, and
+optimize_g1 refills one buffer for all its couplings), the Lindblad
 route assembles the vectorized Liouvillian on the entries reachable from the
 initial support and exponentiates it over one grid spacing (Pade scaling and
 squaring in numpy), once per distinct generator in the batch, and the reduced
@@ -140,13 +142,29 @@ def evolve_unitary(h: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> Trajector
     evals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
     c0 = vecs.conj().T @ psi0
     points = grid.points
-    m = math.isqrt(points - 1) + 1
-    dt = grid.span / (points - 1)
-    fine = np.exp(-1j * np.outer(evals, np.arange(m) * dt))
-    coarse = np.exp(-1j * np.outer(np.arange((points - 1) // m + 1) * (m * dt), evals))
-    table = ((vecs * c0)[:, None, :] * coarse) @ fine
+    table = np.empty((len(evals), *_sqrt_split(points)), dtype=complex)
+    _phase_product(evals, vecs * c0, grid.span / (points - 1), table)
     states = table.reshape(len(evals), -1)[:, :points].T
     return Trajectory(grid.times, states)
+
+
+def _sqrt_split(points: int) -> tuple[int, int]:
+    """(Q, m) with m = isqrt(T - 1) + 1 and Q = (T - 1) // m + 1, so that
+    grid point k = q m + r of T points has q < Q and r < m (Q m >= T)."""
+    m = math.isqrt(points - 1) + 1
+    return (points - 1) // m + 1, m
+
+
+def _phase_product(evals: np.ndarray, weights: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+    """Write sum_l weights[j, l] exp(-i evals[l] (q m + r) dt) into out[j, q, r]
+    and return out, of shape (rows, Q, m) from _sqrt_split: each row is one
+    (Q x d) @ (d x m) product of the coarse and fine phase tables.  With
+    weights = vecs * c0, row j is component j of the state at k = q m + r.
+    """
+    _, q, m = out.shape
+    fine = np.exp(-1j * np.outer(evals, np.arange(m) * dt))
+    coarse = np.exp(-1j * np.outer(np.arange(q) * (m * dt), evals))
+    return np.matmul(weights[:, None, :] * coarse, fine, out=out)
 
 
 def evolve_lindblad_batch(

@@ -36,6 +36,7 @@ import numpy as np
 
 from .analytic import amplitude_grid, amplitudes_homogeneous, find_w_crossings
 from .dynamics import TimeGrid, evolve_lindblad_batch, evolve_unitary
+from .dynamics import _phase_product, _sqrt_split
 from .fockspace import annihilation, build_basis
 from .hamiltonians import build_full, one_photon_hamiltonian, shift_frame
 from .model import SystemSpec, ResonatorSpec, derive_dispersive, spec_to_dict
@@ -349,7 +350,9 @@ def optimize_g1(
     search_mhz.  Objective: min over time of max_m |P_m(t) - 1/n| from ab
     initio unitary evolution (decay off) of the one-photon block
     one_photon_hamiltonian, reported at g1* and on a grid_points landscape
-    over search_mhz.
+    over search_mhz.  All couplings share one time grid (its unit, chi of
+    the last pair, does not involve g1), one stacked eigh and one buffer of
+    resonator amplitudes that dynamics._phase_product refills per coupling.
     """
     if n < 5:
         raise ValueError(f"calibration targets n >= 5 (homogeneous n={n} has no gap)")
@@ -377,24 +380,39 @@ def optimize_g1(
         )
 
     x = np.linspace(0.0, chi_t_max_over_pi, 8001)
-
-    def linf_curve(g1_mhz: float) -> np.ndarray:
-        varied = _with_coupling(spec, 0, g1_mhz)
-        chi_ref = float(derive_dispersive(varied).chi[-1, -2])
-        window = TimeGrid(0.0, np.pi * x[-1] / chi_ref, len(x))
-        traj = evolve_unitary(_one_photon_frame(varied), np.eye(n + 1)[1], window)
-        p = np.abs(traj.states[:, 1:]) ** 2
-        return np.max(np.abs(p - 1.0 / n), axis=1)
-
+    # chi of the last pair does not involve resonator 1 (n >= 5), so one
+    # window serves every coupling
+    chi_ref = float(derive_dispersive(spec).chi[-1, -2])
+    window = TimeGrid(0.0, np.pi * x[-1] / chi_ref, len(x))
     grid = np.linspace(lo, hi, grid_points)
-    values = np.array([float(np.min(linf_curve(g))) for g in grid])
-    curve = linf_curve(g1_star)
+    couplings = np.append(grid, g1_star)
+    hs = np.array([_one_photon_frame(_with_coupling(spec, 0, g)) for g in couplings])
+    evals, vecs = np.linalg.eigh(0.5 * (hs + hs.conj().swapaxes(-1, -2)))
+    # the photon starts in resonator 1: c0 = vecs^dag e_1 is row 1 conjugated
+    weights = (vecs * vecs[:, 1, None, :].conj())[:, 1:]
+
+    # every coupling reuses one table of resonator amplitudes (no bus row),
+    # one of |P_m - 1/n| and one curve max_m |P_m(t) - 1/n|
+    table = np.empty((n, *_sqrt_split(len(x))), dtype=complex)
+    deviation = np.empty((n, len(x)))
+    curve = np.empty(len(x))
+    objective = np.empty(len(couplings))
+    dt = window.span / (window.points - 1)
+    for b in range(len(couplings)):
+        _phase_product(evals[b], weights[b], dt, table)
+        np.abs(table.reshape(n, -1)[:, : len(x)], out=deviation)
+        np.square(deviation, out=deviation)
+        deviation -= 1.0 / n
+        np.abs(deviation, out=deviation)
+        np.max(deviation, axis=0, out=curve)
+        objective[b] = np.min(curve)
+    # the last coupling is g1*, so curve now holds its curve
     return OptimizeG1Result(
         g1_mhz=g1_star,
-        objective=float(np.min(curve)),
+        objective=float(objective[-1]),
         chi_t_over_pi_equal=_distinct_minima(x, curve, NEAR_EQUAL_TOL),
         grid_g1_mhz=grid,
-        grid_objective=values,
+        grid_objective=objective[:-1],
     )
 
 

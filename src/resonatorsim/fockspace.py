@@ -88,8 +88,9 @@ def annihilation(basis: FockBasis, mode: int) -> np.ndarray:
         m = occ[mode]
         if m == 0:
             continue
+        # the lowered state is always enumerated, so skip index_of's checks
         lowered = occ[:mode] + (m - 1,) + occ[mode + 1 :]
-        op[basis.index_of(lowered), col] = np.sqrt(m)
+        op[basis._index[lowered], col] = np.sqrt(m)
     return op
 
 

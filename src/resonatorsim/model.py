@@ -31,10 +31,9 @@ def mhz_to_angular(freq_mhz: float) -> float:
     return TWO_PI * freq_mhz
 
 
-def _require_finite(spec, fields) -> None:
+def _require_finite(**values) -> None:
     # NaN fails every ordered comparison, so the range checks alone let it in
-    for name in fields:
-        value = getattr(spec, name)
+    for name, value in values.items():
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
@@ -48,7 +47,7 @@ class ResonatorSpec:
     kappa_mhz: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, ("freq_ghz", "g_mhz", "kappa_mhz"))
+        _require_finite(freq_ghz=self.freq_ghz, g_mhz=self.g_mhz, kappa_mhz=self.kappa_mhz)
         if self.freq_ghz <= 0:
             raise ValueError(f"resonator frequency must be positive, got {self.freq_ghz} GHz")
         if self.g_mhz < 0:
@@ -80,7 +79,9 @@ class SystemSpec:
     gm_mhz: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self, ("bus_freq_ghz", "bus_kappa_mhz", "gm_mhz"))
+        _require_finite(
+            bus_freq_ghz=self.bus_freq_ghz, bus_kappa_mhz=self.bus_kappa_mhz, gm_mhz=self.gm_mhz
+        )
         if self.bus_freq_ghz <= 0:
             raise ValueError(f"bus frequency must be positive, got {self.bus_freq_ghz} GHz")
         if self.bus_kappa_mhz < 0:
@@ -203,6 +204,7 @@ def dispersive_validity(spec: SystemSpec) -> list[tuple[float, str]]:
 
 def lifetime_from_q(q_factor: float, freq_ghz: float) -> float:
     """Photon lifetime in us of a resonator with quality factor Q at freq_ghz."""
+    _require_finite(q_factor=q_factor, freq_ghz=freq_ghz)
     if q_factor <= 0:
         raise ValueError(f"quality factor must be positive, got {q_factor}")
     if freq_ghz <= 0:
@@ -212,6 +214,7 @@ def lifetime_from_q(q_factor: float, freq_ghz: float) -> float:
 
 def lifetime_from_kappa(kappa_mhz: float) -> float:
     """Photon lifetime in us for a plain decay rate in MHz (= 1/us)."""
+    _require_finite(kappa_mhz=kappa_mhz)
     if kappa_mhz <= 0:
         raise ValueError(f"decay rate must be positive, got {kappa_mhz} MHz")
     return 1.0 / kappa_mhz

@@ -1,6 +1,7 @@
 """Propagators: unitary route, master equation, and reduced amplitude ODE."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -109,6 +110,34 @@ def test_unitary_factorised_phases_match_direct_table(frame, t_start, points):
     assert states.shape == (points, basis.dim)
     atol = 1.0e-15 * (1.0 + np.max(np.abs(evals)) * grid.span)
     np.testing.assert_allclose(states, expected, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("points", [2, 3, 600, 8001])
+def test_unitary_phase_product_matches_inline_reference(points):
+    # the sqrt(T) product lives in dynamics._phase_product, shared by
+    # evolve_unitary and optimize_g1's landscape; the reference writes it out
+    # (eigh, the coarse and fine phase tables, one matmul), and the full
+    # T x d table of exp(-i lam t) stays the tolerance reference above
+    rng = np.random.default_rng(points)
+    h = _random_hermitian(rng, 6)
+    psi0 = rng.normal(size=6) + 1j * rng.normal(size=6)
+    grid = TimeGrid(0.25, 1.55, points)
+
+    evals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    weights = vecs * (vecs.conj().T @ psi0)
+    m = math.isqrt(points - 1) + 1
+    dt = grid.span / (points - 1)
+    fine = np.exp(-1j * np.outer(evals, np.arange(m) * dt))
+    coarse = np.exp(-1j * np.outer(np.arange((points - 1) // m + 1) * (m * dt), evals))
+    table = (weights[:, None, :] * coarse) @ fine
+    expected = table.reshape(6, -1)[:, :points].T
+    np.testing.assert_array_equal(evolve_unitary(h, psi0, grid).states, expected)
+
+    # a subset of rows, written into a reused buffer, gives the same rows
+    out = np.full((3, *dynamics._sqrt_split(points)), np.nan, dtype=complex)
+    for _ in range(2):
+        dynamics._phase_product(evals, weights[2:5], dt, out)
+        np.testing.assert_array_equal(out, table[2:5])
 
 
 def test_lindblad_pure_decay_single_mode():

@@ -15,6 +15,7 @@ from resonatorsim import (
     build_full,
     derive_dispersive,
     evolve_lindblad,
+    evolve_unitary,
     fidelity_dm,
     first_crossing_chi_t,
     ideal_target,
@@ -326,6 +327,55 @@ def test_optimizer_invariants():
     times = result.chi_t_over_pi_equal
     assert np.all((times > 0.0) & (times <= 2.0))
     assert np.all(np.diff(times) > 0)
+
+
+def _landscape_reference(n, spec, search, grid_points, chi_t_max_over_pi):
+    # one TimeGrid, one evolve_unitary and one |amplitude|^2 table per coupling
+    x = np.linspace(0.0, chi_t_max_over_pi, 8001)
+
+    def curve(g1):
+        varied = _with_coupling(spec, 0, g1)
+        chi_ref = float(derive_dispersive(varied).chi[-1, -2])
+        window = TimeGrid(0.0, np.pi * x[-1] / chi_ref, len(x))
+        states = evolve_unitary(
+            experiments._one_photon_frame(varied), np.eye(n + 1)[1], window
+        ).states
+        p = np.abs(states[:, 1:]) ** 2
+        return np.max(np.abs(p - 1.0 / n), axis=1)
+
+    star = curve((np.sqrt(n) - 1.0) * spec.resonators[1].g_mhz)
+    grid = np.linspace(*search, grid_points)
+    values = np.array([np.min(curve(g)) for g in grid])
+    return np.min(star), _distinct_minima(x, star, experiments.NEAR_EQUAL_TOL), values
+
+
+@pytest.mark.parametrize(
+    "n, spec, kwargs",
+    [
+        (5, None, {}),
+        (6, reference_spec(6, gm_mhz=2.0), {"search_mhz": (60.0, 80.0)}),
+        (5, None, {"grid_points": 3, "chi_t_max_over_pi": 0.5}),
+    ],
+    ids=["n5", "n6_gm2", "coarse"],
+)
+def test_optimizer_landscape_matches_per_coupling_curves(n, spec, kwargs):
+    # the landscape shares one time grid, one eigh and one amplitude buffer;
+    # it must equal curves built one coupling at a time, bit for bit
+    spec = reference_spec(n) if spec is None else spec
+    search = kwargs.get("search_mhz", (50.0, 80.0))
+    grid_points = kwargs.get("grid_points", 21)
+    window = kwargs.get("chi_t_max_over_pi", 2.0)
+    result = optimize_g1(n, spec, **kwargs)
+    objective, minima, values = _landscape_reference(n, spec, search, grid_points, window)
+    assert result.objective == objective
+    np.testing.assert_array_equal(result.chi_t_over_pi_equal, minima)
+    np.testing.assert_array_equal(result.grid_objective, values)
+    # the window comes from the last pair, which resonator 1's coupling never enters
+    chis = {
+        float(derive_dispersive(_with_coupling(spec, 0, g)).chi[-1, -2])
+        for g in [*np.linspace(*search, grid_points), result.g1_mhz]
+    }
+    assert len(chis) == 1
 
 
 def test_optimizer_rejects_small_n_and_bad_interval():

@@ -62,6 +62,19 @@ def test_annihilation_matrix_elements():
         assert a[dst, src] == pytest.approx(np.sqrt(k))
 
 
+def test_annihilation_matches_index_of_reference():
+    # the matrices look the lowered state up in the basis' index directly
+    basis = build_basis(4, cutoff=3, excitation_cap=3)
+    for mode in range(basis.modes):
+        expected = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for col, occ in enumerate(basis.states):
+            if occ[mode]:
+                lowered = list(occ)
+                lowered[mode] -= 1
+                expected[basis.index_of(lowered), col] = np.sqrt(occ[mode])
+        np.testing.assert_array_equal(annihilation(basis, mode), expected)
+
+
 def test_creation_is_adjoint_of_annihilation():
     basis = build_basis(2, cutoff=2, excitation_cap=4)
     for mode in range(2):

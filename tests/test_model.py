@@ -93,6 +93,23 @@ def test_lifetimes():
     assert lifetime_from_kappa(0.5) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: lifetime_from_q(v, 5.75), "q_factor"),
+        (lambda v: lifetime_from_q(2.0e6, v), "freq_ghz"),
+        (lambda v: lifetime_from_kappa(v), "kappa_mhz"),
+    ],
+    ids=["q_factor", "freq_ghz", "kappa_mhz"],
+)
+def test_lifetimes_refuse_non_finite_input(call, name, value):
+    # NaN fails the sign checks, and past them a non-finite input gives a
+    # nan, infinite or zero lifetime
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        call(value)
+
+
 def test_json_round_trip(tmp_path):
     spec = reference_spec(3, kappa_mhz=0.25, gm_mhz=0.5)
     data = spec_to_dict(spec)
