@@ -26,9 +26,12 @@ both git SHAs (commit and src/ tree), the settings and the environment
 stamp of the first run on each side.  Under "call_s" it keeps, per
 workload, side and benchmark call, the median, quartiles and raw values
 of that call's per-run median seconds (the "call_s" of each run's record),
-which shows which call moved when a pass time does.  Which direction is better is read
-from the change's BENCHMARK.json.  Exits 1 when a run fails, reports
-incorrect outputs, or the suite does not finish with a pass/fail count.
+which shows which call moved when a pass time does.  Under "src_lines" it
+keeps each side's line count of every module under src/ and their total,
+so a change that should shrink the package shows by how much.  Which
+direction is better is read from the change's BENCHMARK.json.  Exits 1
+when a run fails, reports incorrect outputs, or the suite does not finish
+with a pass/fail count.
 """
 
 from __future__ import annotations
@@ -136,6 +139,7 @@ def main(argv=None) -> int:
                      for key in ("passed", "failed")}},
         "call_s": {w: {side: {call: _quartiles(v) for call, v in call_s[w][side].items()}
                        for side in SIDES} for w in workloads},
+        "src_lines": {side: _src_lines(dirs[side]) for side in SIDES},
     }
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
@@ -144,6 +148,8 @@ def main(argv=None) -> int:
         for m, row in rows.items():
             print(f"{group} {m}: {row['parent']['median']:.4g} -> {row['change']['median']:.4g} "
                   f"({row['median_change']:+.1%}), change better in {row['wins']}/{row['pairs']}")
+    print("src lines: " + " -> ".join(str(summary["src_lines"][side]["total"])
+                                      for side in SIDES))
     print(f"wrote {out}")
     return 0
 
@@ -223,6 +229,15 @@ def _time_suite(checkout: Path):
               f"{(done.stdout + done.stderr)[-2000:]}", file=sys.stderr)
         return None
     return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
+
+
+def _src_lines(checkout: Path) -> dict:
+    """Line count of every .py file under the checkout's src/, keyed by its
+    path relative to src/, plus their sum under "total"."""
+    src = checkout / "src"
+    counts = {path.relative_to(src).as_posix(): len(path.read_bytes().splitlines())
+              for path in sorted(src.rglob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
 
 
 def _quartiles(values: list[float]) -> dict:

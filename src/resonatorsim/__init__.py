@@ -9,6 +9,9 @@ reduced amplitude equations of the bus-eliminated model
 the full system.
 """
 
+# set before the submodules load: experiments and cli import it
+__version__ = "0.1.0"
+
 from .analytic import (
     amplitude_grid,
     amplitudes_homogeneous,
@@ -86,8 +89,6 @@ from .observables import (
     single_photon_populations_dm,
     werner_initial,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "DISPERSIVE_WARN_RATIO",

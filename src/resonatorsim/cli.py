@@ -194,7 +194,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_crossings(args) -> int:
     n = args.n
     roots = find_w_crossings(n, np.pi * args.chi_t_max)
-    pops = np.abs(amplitude_grid(n, roots)) ** 2 if len(roots) else np.zeros((0, n))
+    pops = np.abs(amplitude_grid(n, roots)) ** 2
     columns: dict = {"chi_t_over_pi": roots / np.pi}
     for j in range(n):
         columns[f"p_{j + 1}"] = pops[:, j]

@@ -2,18 +2,18 @@
 the reduced amplitude equations of the bus-eliminated model.
 
 Every generator here is constant in time, so each route is exact up to dense
-linear algebra: the unitary route diagonalizes the Hamiltonian and builds
-the phases on its uniform grid from two tables of about sqrt(T) rows each
-(its states are a time-last table seen through a transposed view; the
-product, _phase_product, writes into a buffer its caller passes, and
-optimize_g1 refills one buffer for all its couplings), the Lindblad
-route assembles the vectorized Liouvillian on the entries reachable from the
-initial support and exponentiates it over one grid spacing (Pade scaling and
-squaring in numpy), once per distinct generator in the batch, and the reduced
-amplitudes are a unitary problem in a rotated frame.  All routes treat the
-initial state as the state at grid.t_start.  Trace (Lindblad) and norm
-(amplitudes) are conserved exactly by these generators, so each trajectory
-is checked for them afterwards.
+linear algebra, and each propagation job has one routine.  One Hamiltonian
+on a uniform grid: evolve_unitary diagonalizes it and takes the phases from
+two tables of about sqrt(T) rows each (_phase_product, into a buffer its
+caller passes; states are a transposed view of the time-last table).  A
+family of one-photon blocks: experiments._released, one stacked eigh.  One
+step exp(A): _expm (Pade scaling and squaring in numpy), which the Lindblad
+route applies over one grid spacing to each distinct Liouvillian of the
+batch, assembled on the entries reachable from the initial support.  The
+reduced amplitudes are a unitary problem in a rotated frame.  All routes
+treat the initial state as the state at grid.t_start.  Trace (Lindblad) and
+norm (amplitudes) are conserved exactly by these generators, so each
+trajectory is checked for them afterwards.
 """
 
 from __future__ import annotations

@@ -34,9 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .analytic import amplitude_grid, amplitudes_homogeneous, find_w_crossings
 from .dynamics import TimeGrid, evolve_lindblad_batch, evolve_unitary
-from .dynamics import _phase_product, _sqrt_split
+from .dynamics import _expm, _phase_product, _sqrt_split
 from .fockspace import annihilation, build_basis
 from .hamiltonians import build_full, one_photon_hamiltonian, shift_frame
 from .model import SystemSpec, ResonatorSpec, derive_dispersive, spec_to_dict
@@ -201,8 +202,9 @@ def sweep_fidelity_map_g2(
     kappa_mhz: float = 0.10,
 ) -> ScenarioResult:
     """Fidelity map over (second-resonator coupling ratio, operation time)
-    for the three-resonator network at one uniform decay rate: each column
-    is one diagonalization's unitary fidelity times exp(-kappa t)."""
+    for the three-resonator network at one uniform decay rate: column b is
+    exp(-kappa t) times the unitary fidelity of ratio b, all ratios' blocks
+    released by one stacked eigh (_released) and evaluated on the time axis."""
     spec, chi = _homogeneous(spec, 3)
     _require_undamped(spec, "set decay with kappa_mhz (--kappa-mhz)")
     _require_rate(kappa_mhz)
@@ -218,18 +220,10 @@ def sweep_fidelity_map_g2(
         raise ValueError(f"chi_t_over_pi must be finite and nonnegative, got {x.tolist()}")
     times = np.pi * x / chi
     chi_t_star = first_crossing_chi_t(3)
-    target = _one_photon_target(3, chi_t_star)
     g2_base = spec.resonators[1].g_mhz
-
-    def unitary_column(ratio: float) -> np.ndarray:
-        h = _one_photon_frame(_with_coupling(spec, 1, g2_base * ratio))
-        evals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
-        # the photon starts in resonator 1, row 1 of the block
-        c0 = vecs[1].conj()
-        states = (np.exp(-1j * np.outer(times, evals)) * c0) @ vecs.T
-        return fidelity_pure_target(states, target)
-
-    f_unitary = [unitary_column(float(r)) for r in ratios]
+    evals, weights = _released(_with_coupling(spec, 1, g2_base * r) for r in ratios)
+    states = np.exp(-1j * times[:, None] * evals[:, None, :]) @ weights.swapaxes(-1, -2)
+    f_unitary = fidelity_pure_target(states, _one_photon_target(3, chi_t_star))
     envelope = np.exp(-kappa_mhz * times)
     columns: dict = {"chi_t_over_pi": x}
     for name, col in zip(names, f_unitary):
@@ -249,7 +243,8 @@ def sweep_gm(
     """Fidelity at the pinned operation time versus the ratio g/G_M of bus
     coupling to direct nearest-neighbour coupling; infinite ratio means no
     direct coupling and serves as the baseline.  One column per decay rate
-    (all modes damped equally): exp(-kappa t) times the unitary fidelity."""
+    (all modes damped equally): exp(-kappa t) times the unitary fidelity,
+    all ratios' blocks released at once by one stacked eigh (_released)."""
     spec, chi = _homogeneous(spec, 3)
     _require_undamped(spec, "set decay with kappas_mhz (--kappas-mhz)")
     g_mhz = spec.resonators[0].g_mhz
@@ -264,9 +259,8 @@ def sweep_gm(
 
     chi_t_star = first_crossing_chi_t(3)
     t_star = chi_t_star / chi
-    grid = TimeGrid(0.0, t_star, 2)
-    hs = [_one_photon_frame(replace(spec, gm_mhz=gm)) for gm in gm_values]
-    final = np.array([evolve_unitary(h, np.eye(4)[1], grid).states[-1] for h in hs])
+    evals, weights = _released(replace(spec, gm_mhz=gm) for gm in gm_values)
+    final = np.einsum("bjl,bl->bj", weights, np.exp(-1j * evals * t_star))
     fid = fidelity_pure_target(final, _one_photon_target(3, chi_t_star))
 
     columns: dict = {
@@ -291,9 +285,9 @@ def sweep_werner(
     """Fidelity at the pinned operation time for Werner-type initial states,
     one curve per overlap angle theta (given in units of pi).
 
-    Decay rates are taken from the spec; with no decay the density matrices
-    are advanced by exact diagonalization, otherwise by the exact Liouvillian
-    propagator, which exponentiates the one generator all entries share once.
+    Decay rates are taken from the spec: with none, one step exp(-i h t*)
+    by dynamics._expm advances the density matrices; otherwise the exact
+    Liouvillian propagator does, exponentiating the shared generator once.
     """
     spec, chi = _homogeneous(spec, 3)
     ps = np.linspace(0.0, 1.0, 11) if p_grid is None else np.asarray(p_grid, float)
@@ -319,8 +313,7 @@ def sweep_werner(
         traj = evolve_lindblad_batch(h, ops, rho0, TimeGrid(0.0, t_star, 2))
         final = traj.states[-1]
     else:
-        evals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
-        u = (vecs * np.exp(-1j * evals * t_star)) @ vecs.conj().T
+        u = _expm(-1j * t_star * h)
         final = u @ rho0 @ u.conj().T
     fid = fidelity_dm(final, target).reshape(len(thetas), len(ps))
 
@@ -351,8 +344,8 @@ def optimize_g1(
     initio unitary evolution (decay off) of the one-photon block
     one_photon_hamiltonian, reported at g1* and on a grid_points landscape
     over search_mhz.  All couplings share one time grid (its unit, chi of
-    the last pair, does not involve g1), one stacked eigh and one buffer of
-    resonator amplitudes that dynamics._phase_product refills per coupling.
+    the last pair, does not involve g1), one stacked eigh (_released) and one
+    buffer of resonator amplitudes that dynamics._phase_product refills.
     """
     if n < 5:
         raise ValueError(f"calibration targets n >= 5 (homogeneous n={n} has no gap)")
@@ -386,10 +379,8 @@ def optimize_g1(
     window = TimeGrid(0.0, np.pi * x[-1] / chi_ref, len(x))
     grid = np.linspace(lo, hi, grid_points)
     couplings = np.append(grid, g1_star)
-    hs = np.array([_one_photon_frame(_with_coupling(spec, 0, g)) for g in couplings])
-    evals, vecs = np.linalg.eigh(0.5 * (hs + hs.conj().swapaxes(-1, -2)))
-    # the photon starts in resonator 1: c0 = vecs^dag e_1 is row 1 conjugated
-    weights = (vecs * vecs[:, 1, None, :].conj())[:, 1:]
+    evals, weights = _released(_with_coupling(spec, 0, g) for g in couplings)
+    weights = weights[:, 1:]
 
     # every coupling reuses one table of resonator amplitudes (no bus row),
     # one of |P_m - 1/n| and one curve max_m |P_m(t) - 1/n|
@@ -526,6 +517,16 @@ def _one_photon_frame(spec: SystemSpec) -> np.ndarray:
     return one_photon_hamiltonian(spec, spec.omegas[0])
 
 
+def _released(specs) -> tuple[np.ndarray, np.ndarray]:
+    """Release of the photon from resonator 1 for a family of systems, by
+    one stacked eigh of their _one_photon_frame blocks: amplitude j of
+    system b at time t is sum_l weights[b, j, l] exp(-i evals[b, l] t)."""
+    hs = np.array([_one_photon_frame(spec) for spec in specs])
+    evals, vecs = np.linalg.eigh(0.5 * (hs + hs.conj().swapaxes(-1, -2)))
+    # the photon starts in row 1 of the block: c0 = vecs^dag e_1 is row 1 conjugated
+    return evals, vecs * vecs[:, 1, None, :].conj()
+
+
 def _one_photon_target(n: int, chi_t: float) -> np.ndarray:
     """ideal_target in the layout of the one-photon block: bus amplitude 0,
     then the conjugated closed-form amplitudes of the n resonators."""
@@ -552,14 +553,8 @@ def _base_metadata(name: str, spec: SystemSpec, chi: float) -> dict:
         "name": name,
         "spec": spec_to_dict(spec),
         "chi_rad_per_us": float(chi),
-        "version": _package_version(),
+        "version": __version__,
     }
-
-
-def _package_version() -> str:
-    from resonatorsim import __version__
-
-    return __version__
 
 
 def _jsonable(obj):

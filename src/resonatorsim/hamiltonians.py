@@ -6,8 +6,8 @@ direct nearest-neighbour coupling, and _sw_block for the antihermitian
 generator that eliminates the bus to first order.  Both are bilinear in the
 mode operators, so their Fock-space matrices (build_full, build_sw_generator)
 are lifts sum_kl B[k, l] a_k^dag a_l of the blocks, and verify_sw_identities
-checks the elimination on the blocks themselves.  All matrices are dense
-complex arrays in rad/us.
+checks the elimination on the blocks themselves (e^S by dynamics._expm).
+All matrices are dense complex arrays in rad/us.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _expm
 from .fockspace import FockBasis, annihilation, total_number
 from .model import SystemSpec, derive_dispersive
 
@@ -33,10 +34,6 @@ class HamiltonianSet:
     h0: np.ndarray
     h_int: np.ndarray
     h_gm: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.h_full.shape[0]
 
 
 def build_full(spec: SystemSpec, basis: FockBasis) -> HamiltonianSet:
@@ -111,7 +108,8 @@ def verify_sw_identities(spec: SystemSpec) -> SwIdentityReport:
     operators are lifts of these blocks, and on the sector with at most one
     photon a lift acts as its block (the vacuum adds only zeros), so sums,
     products and exponentials there are those of the blocks: the residuals
-    are the Fock-space ones, free of cutoff artefacts.  The direct coupling
+    are the Fock-space ones, free of cutoff artefacts.  e^S is the block's
+    dynamics._expm (Pade-13 scaling and squaring).  The direct coupling
     G_M is not part of the elimination and is excluded; a resonant bus is
     refused.
     """
@@ -121,7 +119,7 @@ def verify_sw_identities(spec: SystemSpec) -> SwIdentityReport:
 
     r1 = _opnorm(s @ h0 - h0 @ s + h_int)
 
-    u = _expm_antihermitian(s)
+    u = _expm(s)
     h_exact = u @ h @ u.conj().T
     h_second = h0 + 0.5 * (s @ h_int - h_int @ s)
     r2 = _opnorm(h_exact - h_second)
@@ -183,18 +181,6 @@ def _lift(block: np.ndarray, basis: FockBasis) -> np.ndarray:
     for k, l in zip(*np.nonzero(block.reshape(-1, modes, modes).any(axis=0))):
         out = out + block[..., k, l, None, None] * (ops[k].conj().T @ ops[l])
     return out
-
-
-def _expm_antihermitian(s: np.ndarray) -> np.ndarray:
-    """e^S for antihermitian S, from the Hermitian eigenproblem
-    -iS = V diag(mu) V^dag.
-
-    Written as 1 + V diag(e^{i mu} - 1) V^dag: for a small generator the
-    rounding then scales with |S|, not with 1, which keeps the eigenvalue
-    drift of e^S H e^-S at the level of scipy's expm.
-    """
-    mu, v = np.linalg.eigh(-1j * s)
-    return np.eye(s.shape[0]) + (v * np.expm1(1j * mu)) @ v.conj().T
 
 
 def _opnorm(m: np.ndarray) -> float:

@@ -57,9 +57,12 @@ def test_crossings_outputs(tmp_path):
     assert set(manifest) == {"command", "args", "config", "outputs", "status", "version"}
 
 
-def test_crossings_none_found(capsys):
+def test_crossings_none_found(capsys, tmp_path):
     assert main(["crossings", "--n", "5", "--out", "none.csv"]) == 0
     assert "no equal-population times" in capsys.readouterr().out
+    # the header names every resonator and no row follows
+    rows = (tmp_path / "none.csv").read_text(encoding="utf-8").splitlines()
+    assert rows == ["chi_t_over_pi,p_1,p_2,p_3,p_4,p_5"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

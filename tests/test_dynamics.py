@@ -295,14 +295,19 @@ def _kron_generator(h, collapse):
 
 
 def _full_generator_reference(h, collapse, rho0, grid):
-    # scipy.linalg.expm of each entry's whole generator
+    # scipy.linalg.expm of each entry's whole generator, computed once per
+    # distinct (h, rates): equal inputs give the same step
     nbatch, d = rho0.shape[:2]
     h = np.broadcast_to(h, (nbatch, d, d))
     dt = grid.span / (grid.points - 1)
     out = np.empty((grid.points, nbatch, d, d), dtype=complex)
+    steps = {}
     for b in range(nbatch):
         rates = [(np.broadcast_to(rate, (nbatch,))[b], op) for rate, op in collapse]
-        step = scipy.linalg.expm(_kron_generator(h[b], rates) * dt)
+        key = h[b].tobytes() + np.array([rate for rate, _ in rates]).tobytes()
+        if key not in steps:
+            steps[key] = scipy.linalg.expm(_kron_generator(h[b], rates) * dt)
+        step = steps[key]
         vec = rho0[b].reshape(-1).astype(complex)
         for k in range(grid.points):
             out[k, b] = vec.reshape(d, d)

@@ -32,7 +32,8 @@ from resonatorsim import (
     sweep_werner,
     write_result,
 )
-from resonatorsim import experiments
+from resonatorsim import experiments, hamiltonians, verify_sw_identities
+from resonatorsim.dynamics import _expm
 from resonatorsim.experiments import _distinct_minima, _with_coupling
 
 
@@ -213,6 +214,44 @@ def test_single_photon_scenarios_build_no_fock_basis(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "run",
+    [sweep_fidelity_map_g2, sweep_gm, lambda: optimize_g1(5)],
+    ids=["map_g2", "gm", "optimize_g1"],
+)
+def test_block_families_release_with_one_stacked_eigh(monkeypatch, run):
+    # a family of one-photon blocks (21 g2 ratios, 9 direct couplings, 22
+    # first-resonator couplings) is diagonalized by one stacked eigh
+    calls = []
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    run()
+    assert len(calls) == 1
+
+
+def test_single_steps_exponentiate_with_dynamics_expm(monkeypatch):
+    # e^S of the bus elimination and the closed Werner step both go through
+    # dynamics._expm, once each, on the 4 x 4 block and the 15-state basis
+    shapes = []
+
+    def recording_expm(a):
+        shapes.append(a.shape)
+        return _expm(a)
+
+    monkeypatch.setattr(hamiltonians, "_expm", recording_expm)
+    monkeypatch.setattr(experiments, "_expm", recording_expm)
+    verify_sw_identities(reference_spec(3))
+    assert shapes == [(4, 4)]
+    shapes.clear()
+    sweep_werner()
+    assert shapes == [(15, 15)]
+
+
+@pytest.mark.parametrize(
     "n, call, flag",
     [
         (3, lambda s: scenario_population(3, s, with_kappa_mhz=0.5), "--kappa-mhz"),
@@ -295,7 +334,7 @@ def test_gm_sweep_infinite_ratio_is_baseline():
 
 
 def test_werner_routes_agree():
-    # exact-diagonalization path (kappa = 0) vs the master-equation propagator
+    # one _expm step (kappa = 0) vs the master-equation propagator
     res = sweep_werner(p_grid=[0.7], thetas_pi=[0.25])
     spec = reference_spec(3)
     model = derive_dispersive(spec)

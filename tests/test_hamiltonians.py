@@ -18,7 +18,7 @@ from resonatorsim import (
     total_number,
     verify_sw_identities,
 )
-from resonatorsim.hamiltonians import _expm_antihermitian
+from resonatorsim.dynamics import _expm
 
 
 @pytest.fixture(scope="module")
@@ -202,13 +202,13 @@ def test_sw_verify_builds_no_fock_basis(monkeypatch):
 
 @pytest.mark.parametrize("detuned", [False, True])
 def test_sw_exponential_matches_expm(detuned, basis4):
-    # verify_sw_identities exponentiates S through eigh; scipy's expm is the
-    # reference.  The detuned network is one where V diag(e^{i mu}) V^dag,
-    # without the expm1 form, drifted the spectrum by 1.02e-10, past the
-    # 1e-10 bound that sw-verify enforces.
+    # verify_sw_identities exponentiates S with dynamics._expm (Pade-13
+    # scaling and squaring); scipy's expm is the reference.  The detuned
+    # network is one where an eigh-based V diag(e^{i mu}) V^dag drifted the
+    # spectrum by 1.02e-10, past the 1e-10 bound that sw-verify enforces.
     spec = _detuned_spec() if detuned else reference_spec(3)
     s = build_sw_generator(spec, basis4)
     expected = scipy.linalg.expm(s)
-    got = _expm_antihermitian(s)
+    got = _expm(s)
     assert np.linalg.norm(got - expected, 2) <= 1.0e-12 * np.linalg.norm(expected, 2)
     assert verify_sw_identities(spec).eigenvalue_drift <= 1.0e-10
