@@ -21,7 +21,13 @@ current directory: per workload and metric, per CLI command (wall seconds
 and minor page faults, under "cli") and for the suite (wall seconds, under
 "suite"), each side's median and quartiles (and the raw values), the
 number of pairs the change won (ties count for neither side), the relative
-change of the medians and the parent's interquartile range, together with
+change of the medians and the parent's interquartile range.  Each
+end-to-end metric of a workload also gets its "bound" from the change's
+BENCHMARK.json, a share of the parent's median, and two verdicts on it:
+"over_bound", the change's median is worse than the parent's by more than
+the bound, and "unresolved", the parent's interquartile range exceeds the
+bound and not every change run beats every parent run; the CLI and suite
+entries, which have no bound, get null for all three.  With these go
 both git SHAs (commit and src/ tree), the settings and the environment
 stamp of the first run on each side.  Under "call_s" it keeps, per
 workload, side and benchmark call, the median, quartiles and raw values
@@ -75,6 +81,7 @@ def main(argv=None) -> int:
             parser.error(f"{d} has no bench/run.py")
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in spec["workloads"]])
     seeds = _parse_seeds(args.seeds)
@@ -129,7 +136,8 @@ def main(argv=None) -> int:
                      "suite_command": ["python", *SUITE_COMMAND]},
         "git_sha": {side: _git_sha(dirs[side]) for side in SIDES},
         "environment": environment,
-        "workloads": {w: {m: _compare(values[w]["parent"][m], values[w]["change"][m], better[m])
+        "workloads": {w: {m: _compare(values[w]["parent"][m], values[w]["change"][m], better[m],
+                                      bound[m])
                           for m in better} for w in workloads},
         "cli": {key: _compare(cli["parent"][key], cli["change"][key], "lower")
                 for key in cli_keys},
@@ -245,11 +253,21 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def _compare(parent: list[float], change: list[float], better: str) -> dict:
+def _compare(parent: list[float], change: list[float], better: str,
+             bound: float | None = None) -> dict:
+    """Both sides' quartiles, the pairs won and the change of the medians,
+    and, given a bound (a share of the parent's median), the verdicts
+    over_bound and unresolved that the module docstring defines."""
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     ties = sum(1 for p, c in zip(parent, change) if c == p)
     a, b = _quartiles(parent), _quartiles(change)
+    over_bound = unresolved = None
+    if bound is not None:
+        allowed = bound * abs(a["median"])
+        over_bound = sign * (a["median"] - b["median"]) > allowed
+        beats_all = all(sign * (c - p) > 0 for c in change for p in parent)
+        unresolved = a["q3"] - a["q1"] > allowed and not beats_all
     return {
         "better": better,
         "parent": a,
@@ -259,6 +277,9 @@ def _compare(parent: list[float], change: list[float], better: str) -> dict:
         "ties": ties,
         "median_change": (b["median"] - a["median"]) / a["median"] if a["median"] else 0.0,
         "parent_iqr": a["q3"] - a["q1"],
+        "bound": bound,
+        "over_bound": over_bound,
+        "unresolved": unresolved,
     }
 
 

@@ -24,6 +24,8 @@ from . import __version__
 from .analytic import amplitude_grid, find_w_crossings
 from .dynamics import PropagationError
 from .experiments import (
+    DEFAULT_CHI_T_MAX_OVER_PI,
+    DEFAULT_POINTS,
     ScenarioResult,
     optimize_g1,
     optimize_to_scenario,
@@ -89,86 +91,77 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags several subcommands share, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None,
+                        help="system JSON file (default: standard working point)")
+    both = [config, out]
 
-    p = sub.add_parser("evolve", help="population trajectories (closed form vs ab initio)")
-    _add_config(p)
+    p = sub.add_parser("evolve", parents=both,
+                       help="population trajectories (closed form vs ab initio)")
     p.add_argument("--n", type=int, default=3, help="number of distant resonators")
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--chi-t-max", type=float, default=None,
-                     help="time-axis end in units of pi (chi*t/pi), default 1.3")
+                     help="time-axis end in units of pi (chi*t/pi), "
+                          f"default {DEFAULT_CHI_T_MAX_OVER_PI:g}")
     grp.add_argument("--t-max-us", type=float, default=None,
                      help="time-axis end in microseconds")
-    p.add_argument("--points", type=int, default=600)
+    p.add_argument("--points", type=int, default=DEFAULT_POINTS)
     p.add_argument("--kappa-mhz", type=float, default=None,
                    help="also tabulate damped populations at this uniform rate")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_evolve)
 
-    p = sub.add_parser("crossings", help="equal-population times of the closed form")
+    p = sub.add_parser("crossings", parents=[out], help="equal-population times of the closed form")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--chi-t-max", type=float, default=1.5,
                    help="search window end in units of pi")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_crossings)
 
-    p = sub.add_parser("fidelity", help="fidelity vs time for several decay rates")
-    _add_config(p)
+    p = sub.add_parser("fidelity", parents=both, help="fidelity vs time for several decay rates")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--kappas-mhz", default="0,0.25,0.5",
                    help="comma-separated decay rates in MHz")
-    p.add_argument("--chi-t-max", type=float, default=1.3)
-    p.add_argument("--points", type=int, default=600)
-    p.add_argument("--out", default=None)
+    p.add_argument("--chi-t-max", type=float, default=DEFAULT_CHI_T_MAX_OVER_PI)
+    p.add_argument("--points", type=int, default=DEFAULT_POINTS)
     p.set_defaults(handler=_cmd_fidelity)
 
-    p = sub.add_parser("optimize-g1", help="calibrate the first coupling for n >= 5")
-    _add_config(p)
+    p = sub.add_parser("optimize-g1", parents=both, help="calibrate the first coupling for n >= 5")
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--search-mhz", default="50:80", help="search interval lo:hi in MHz")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_optimize_g1)
 
-    p = sub.add_parser("gm-sweep", help="fidelity vs direct resonator-resonator coupling")
-    _add_config(p)
+    p = sub.add_parser("gm-sweep", parents=both,
+                       help="fidelity vs direct resonator-resonator coupling")
     p.add_argument("--ratios", default="inf,200,100,50,20,10,5,2,1",
                    help="comma-separated g/G_M ratios (inf = no direct coupling)")
     p.add_argument("--kappas-mhz", default="0,0.5")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_gm_sweep)
 
-    p = sub.add_parser("werner", help="fidelity vs Werner mixing at the operation time")
-    _add_config(p)
+    p = sub.add_parser("werner", parents=both,
+                       help="fidelity vs Werner mixing at the operation time")
     p.add_argument("--p-grid", default=None,
                    help="comma-separated purities, default 0,0.1,...,1")
     p.add_argument("--thetas-pi", default="0,0.25,0.5",
                    help="comma-separated overlap angles in units of pi")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_werner)
 
-    p = sub.add_parser("map-g2", help="fidelity map over second coupling and time")
-    _add_config(p)
+    p = sub.add_parser("map-g2", parents=both, help="fidelity map over second coupling and time")
     p.add_argument("--ratios", default=None,
                    help="comma-separated g2/g ratios, default 0.5,0.55,...,1.5")
     p.add_argument("--kappa-mhz", type=float, default=0.10)
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_map_g2)
 
-    p = sub.add_parser("sw-verify", help="frame-transformation identity residuals")
-    _add_config(p)
+    p = sub.add_parser("sw-verify", parents=both, help="frame-transformation identity residuals")
     p.add_argument("--n", type=int, default=None,
                    help="number of distant resonators, default 3 without --config")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_sw_verify)
 
     p = sub.add_parser("all", help="run every scenario subcommand into one directory")
     p.add_argument("--outdir", default="results")
     p.set_defaults(handler=_cmd_all)
     return parser
-
-
-def _add_config(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None,
-                   help="system JSON file (default: standard working point)")
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -180,7 +173,7 @@ def _cmd_evolve(args) -> int:
         chi = derive_dispersive(spec).chi_homogeneous
         chi_t_max = args.t_max_us * chi / np.pi
     else:
-        chi_t_max = args.chi_t_max if args.chi_t_max is not None else 1.3
+        chi_t_max = args.chi_t_max if args.chi_t_max is not None else DEFAULT_CHI_T_MAX_OVER_PI
     res = scenario_population(
         args.n, spec,
         with_kappa_mhz=args.kappa_mhz,
@@ -217,9 +210,8 @@ def _cmd_fidelity(args) -> int:
         points=args.points,
     )
     _emit(args, res, f"fidelity_n{args.n}.csv")
-    x = res.columns["chi_t_over_pi"]
-    for k in kappas:
-        col = res.columns[f"f_kappa_{k:g}mhz"]
+    x, *cols = res.columns.values()
+    for k, col in zip(kappas, cols):
         i = int(np.argmax(col))
         print(f"kappa {k:g} MHz: peak fidelity {col[i]:.4f} at chi*t/pi = {x[i]:.3f}")
     return 0
@@ -243,8 +235,8 @@ def _cmd_gm_sweep(args) -> int:
     kappas = _float_list(args.kappas_mhz, "--kappas-mhz")
     res = sweep_gm(spec, ratios, kappas)
     _emit(args, res, "gm_sweep.csv")
-    for k in kappas:
-        col = res.columns[f"f_kappa_{k:g}mhz"]
+    _, _, *cols = res.columns.values()
+    for k, col in zip(kappas, cols):
         print(f"kappa {k:g} MHz: fidelity {col[0]:.4f} -> {col[-1]:.4f} over ratios")
     return 0
 
@@ -255,8 +247,8 @@ def _cmd_werner(args) -> int:
     thetas = _float_list(args.thetas_pi, "--thetas-pi")
     res = sweep_werner(spec, p_grid, thetas)
     _emit(args, res, "werner_sweep.csv")
-    for th in thetas:
-        col = res.columns[f"f_theta_{th:g}pi"]
+    _, *cols = res.columns.values()
+    for th, col in zip(thetas, cols):
         print(f"theta = {th:g} pi: fidelity spans [{col.min():.4f}, {col.max():.4f}]")
     return 0
 
@@ -266,15 +258,11 @@ def _cmd_map_g2(args) -> int:
     ratios = None if args.ratios is None else _float_list(args.ratios, "--ratios")
     res = sweep_fidelity_map_g2(spec, ratios, kappa_mhz=args.kappa_mhz)
     _emit(args, res, "fidelity_map_g2.csv")
-    x = res.columns["chi_t_over_pi"]
-    best_name, best_val, best_x = "", -1.0, 0.0
-    for name, col in res.columns.items():
-        if name == "chi_t_over_pi":
-            continue
-        i = int(np.argmax(col))
-        if col[i] > best_val:
-            best_name, best_val, best_x = name, float(col[i]), float(x[i])
-    print(f"map maximum {best_val:.4f} in column {best_name} at chi*t/pi = {best_x:.3f}")
+    _, *names = res.columns
+    x, *cols = res.columns.values()
+    # the flat argmax is row-major, so a tie goes to the first column
+    b, i = np.unravel_index(np.argmax(cols), (len(cols), len(x)))
+    print(f"map maximum {cols[b][i]:.4f} in column {names[b]} at chi*t/pi = {x[i]:.3f}")
     return 0
 
 
@@ -395,7 +383,3 @@ def _parse_interval(raw: str, flag: str) -> tuple[float, float]:
     except ValueError:
         raise UsageError(f"{flag} expects lo:hi numbers, got {raw!r}") from None
     return lo, hi
-
-
-if __name__ == "__main__":
-    sys.exit(main())

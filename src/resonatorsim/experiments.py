@@ -20,7 +20,7 @@ in vacuum: damped populations and fidelities are exactly exp(-kappa t)
 times the unitary ones.  They take kappa from their own arguments and,
 like optimize_g1 (which runs without decay), refuse a spec with decay
 rates.  Only the Werner sweep (up to three photons, rates per mode from
-the spec) builds a Fock basis and runs the master equation.
+the spec) builds a Fock basis; with decay rates it runs the master equation.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .analytic import amplitude_grid, amplitudes_homogeneous, find_w_crossings
 from .dynamics import TimeGrid, evolve_lindblad_batch, evolve_unitary
 from .dynamics import _expm, _phase_product, _sqrt_split
 from .fockspace import annihilation, build_basis
-from .hamiltonians import build_full, one_photon_hamiltonian, shift_frame
+from .hamiltonians import _lift, one_photon_hamiltonian
 from .model import SystemSpec, ResonatorSpec, derive_dispersive, spec_to_dict
 from .observables import (
     WernerParams,
@@ -285,6 +285,7 @@ def sweep_werner(
     """Fidelity at the pinned operation time for Werner-type initial states,
     one curve per overlap angle theta (given in units of pi).
 
+    h is the lift of _one_photon_frame, the block the other scenarios use.
     Decay rates are taken from the spec: with none, one step exp(-i h t*)
     by dynamics._expm advances the density matrices; otherwise the exact
     Liouvillian propagator does, exponentiating the shared generator once.
@@ -299,7 +300,7 @@ def sweep_werner(
     t_star = chi_t_star / chi
     basis = build_basis(4, cutoff=1, excitation_cap=3)
     target = ideal_target(3, chi_t_star, basis)
-    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    h = _lift(_one_photon_frame(spec), basis)
     rho0 = np.stack(
         [
             werner_initial(WernerParams(float(p), np.pi * th), basis)
@@ -353,8 +354,8 @@ def optimize_g1(
     _require_n(spec, n)
     _require_undamped(spec, "the calibration runs without decay")
     lo, hi = float(search_mhz[0]), float(search_mhz[1])
-    if not 0 < lo < hi:
-        raise ValueError(f"search interval must satisfy 0 < lo < hi, got {search_mhz}")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"search interval must satisfy 0 < lo < hi < inf, got {search_mhz}")
     if grid_points < 3:
         raise ValueError(f"need at least 3 grid points, got {grid_points}")
     if not (math.isfinite(chi_t_max_over_pi) and chi_t_max_over_pi > 0):

@@ -5,8 +5,9 @@ index 0): one_photon_hamiltonian for bus + distant resonators + optional
 direct nearest-neighbour coupling, and _sw_block for the antihermitian
 generator that eliminates the bus to first order.  Both are bilinear in the
 mode operators, so their Fock-space matrices (build_full, build_sw_generator)
-are lifts sum_kl B[k, l] a_k^dag a_l of the blocks, and verify_sw_identities
-checks the elimination on the blocks themselves (e^S by dynamics._expm).
+are lifts sum_kl B[k, l] a_k^dag a_l of the blocks (_lift, which also gives
+the Werner sweep its Hamiltonian, from experiments._one_photon_frame), and
+verify_sw_identities checks the elimination on the blocks (e^S by _expm).
 All matrices are dense complex arrays in rad/us.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dynamics import _expm
 from .fockspace import FockBasis, annihilation, total_number
-from .model import SystemSpec, derive_dispersive
+from .model import SystemSpec, _detunings, derive_dispersive
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +158,8 @@ def _parts(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _sw_block(spec: SystemSpec) -> np.ndarray:
     """One-photon block of S: lambda_j = g_j/Delta_j at (0, j), -lambda_j at
     (j, 0).  Requires every detuning nonzero."""
-    for j, d in enumerate(spec.detunings):
-        if d == 0.0:
-            raise ValueError(f"resonator {j + 1} has zero detuning; generator undefined")
     s = np.zeros((spec.n + 1, spec.n + 1), dtype=complex)
-    lam = spec.couplings / spec.detunings
+    lam = spec.couplings / _detunings(spec, "generator")
     s[0, 1:], s[1:, 0] = lam, -lam
     return s
 

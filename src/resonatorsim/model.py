@@ -48,6 +48,7 @@ class ResonatorSpec:
 
     def __post_init__(self):
         _require_finite(freq_ghz=self.freq_ghz, g_mhz=self.g_mhz, kappa_mhz=self.kappa_mhz)
+        _require_finite(**{"freq_ghz in rad/us": self.omega, "g_mhz in rad/us": self.g})
         if self.freq_ghz <= 0:
             raise ValueError(f"resonator frequency must be positive, got {self.freq_ghz} GHz")
         if self.g_mhz < 0:
@@ -82,6 +83,7 @@ class SystemSpec:
         _require_finite(
             bus_freq_ghz=self.bus_freq_ghz, bus_kappa_mhz=self.bus_kappa_mhz, gm_mhz=self.gm_mhz
         )
+        _require_finite(**{"bus_freq_ghz in rad/us": self.bus_omega, "gm_mhz in rad/us": self.gm})
         if self.bus_freq_ghz <= 0:
             raise ValueError(f"bus frequency must be positive, got {self.bus_freq_ghz} GHz")
         if self.bus_kappa_mhz < 0:
@@ -171,13 +173,7 @@ def derive_dispersive(spec: SystemSpec) -> DispersiveModel:
     omega'_j = omega_j + g_j^2/Delta_j and Omega_0' = Omega_0 - sum g_j^2/Delta_j.
     Requires every detuning nonzero.
     """
-    delta = spec.detunings
-    for j, d in enumerate(delta):
-        if d == 0.0:
-            raise ValueError(
-                f"resonator {j + 1} is resonant with the bus "
-                f"({spec.resonators[j].freq_ghz} GHz): dispersive model undefined"
-            )
+    delta = _detunings(spec, "dispersive model")
     g = spec.couplings
     shift = g**2 / delta
     omega_p = spec.omegas + shift
@@ -194,12 +190,22 @@ def derive_dispersive(spec: SystemSpec) -> DispersiveModel:
 def dispersive_validity(spec: SystemSpec) -> list[tuple[float, str]]:
     """Per-resonator ratios g_j/|Delta_j| with a pass/warn flag each."""
     out = []
-    for j, (g, d) in enumerate(zip(spec.couplings, spec.detunings)):
-        if d == 0.0:
-            raise ValueError(f"resonator {j + 1} has zero detuning; validity ratio undefined")
+    for g, d in zip(spec.couplings, _detunings(spec, "validity ratio")):
         ratio = float(g / abs(d))
         out.append((ratio, "warn" if ratio > DISPERSIVE_WARN_RATIO else "pass"))
     return out
+
+
+def _detunings(spec: SystemSpec, what: str) -> np.ndarray:
+    """spec.detunings, refusing a resonator at the bus frequency, where what
+    (a quantity with 1/Delta in it) is undefined."""
+    delta = spec.detunings
+    for j in np.flatnonzero(delta == 0.0):  # the first one raises
+        raise ValueError(
+            f"resonator {j + 1} is resonant with the bus "
+            f"({spec.resonators[j].freq_ghz} GHz): {what} undefined"
+        )
+    return delta
 
 
 def lifetime_from_q(q_factor: float, freq_ghz: float) -> float:

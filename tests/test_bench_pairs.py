@@ -29,3 +29,25 @@ def test_src_lines_counts_each_module_and_the_total(tmp_path):
         "pkg/b.py": 2,
         "total": 5,
     }
+
+
+def test_compare_judges_each_metric_against_its_bound():
+    compare = _load_script()._compare
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04]
+    # the bound is a share of the parent's median, 1.02: 0.05 allows 0.051
+    row = compare(parent, [1.05, 1.06, 1.07, 1.08, 1.09], "lower", 0.05)
+    assert (row["bound"], row["over_bound"], row["unresolved"]) == (0.05, False, False)
+    assert compare(parent, [1.06, 1.07, 1.08, 1.09, 1.10], "lower", 0.05)["over_bound"] is True
+    # a higher-is-better metric is worse when its median falls
+    row = compare([1.0] * 5, [0.98] * 5, "higher", 0.01)
+    assert (row["over_bound"], row["unresolved"]) == (True, False)
+    # the parent's interquartile range, 0.6, exceeds the bound, 0.1: the
+    # verdict is unresolved unless every change run beats every parent run
+    wide = [0.6, 0.8, 1.0, 1.2, 1.4]
+    row = compare(wide, [0.5, 0.7, 0.9, 1.1, 1.3], "lower", 0.1)
+    assert (row["over_bound"], row["unresolved"]) == (False, True)
+    row = compare(wide, [0.1, 0.2, 0.3, 0.4, 0.5], "lower", 0.1)
+    assert (row["over_bound"], row["unresolved"]) == (False, False)
+    # no bound, as for the CLI and suite entries: no verdict either
+    row = compare(parent, parent, "lower")
+    assert (row["bound"], row["over_bound"], row["unresolved"]) == (None, None, None)

@@ -199,6 +199,22 @@ def test_non_finite_config_exit_2(tmp_path, capsys):
     assert not (tmp_path / "sw.json").exists()
 
 
+def test_overflowing_config_exit_2(tmp_path, capsys):
+    # 1e308 MHz is a finite JSON number, but g = 2 pi 1e308 rad/us is not;
+    # it is refused by name before numpy overflows on it
+    data = spec_to_dict(reference_spec(3))
+    for resonator in data["resonators"]:
+        resonator["g_mhz"] = 1.0e308
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(cfg), "--out", "e.csv"]) == 2
+        assert main(["sw-verify", "--config", str(cfg), "--out", "sw.json"]) == 2
+    assert capsys.readouterr().err.count("g_mhz in rad/us must be finite, got inf") == 2
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_non_number_config_exit_2(tmp_path, capsys):
     data = spec_to_dict(reference_spec(3))
     data["resonators"][0]["freq_ghz"] = None
@@ -291,6 +307,39 @@ def test_map_g2_cli(tmp_path):
     assert main(["map-g2", "--ratios", "1.0", "--out", "m.csv"]) == 0
     header = (tmp_path / "m.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "chi_t_over_pi,f_g2_1"
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["fidelity", "--n", "3"], [
+            "fidelity_n3: 600 rows -> fidelity_n3.csv",
+            "kappa 0 MHz: peak fidelity 0.9996 at chi*t/pi = 0.896",
+            "kappa 0.25 MHz: peak fidelity 0.9885 at chi*t/pi = 0.221",
+            "kappa 0.5 MHz: peak fidelity 0.9776 at chi*t/pi = 0.221",
+        ]),
+        (["gm-sweep"], [
+            "gm_sweep: 9 rows -> gm_sweep.csv",
+            "kappa 0 MHz: fidelity 0.9989 -> 0.6864 over ratios",
+            "kappa 0.5 MHz: fidelity 0.9769 -> 0.6713 over ratios",
+        ]),
+        (["werner"], [
+            "werner_sweep: 11 rows -> werner_sweep.csv",
+            "theta = 0 pi: fidelity spans [0.1249, 0.9989]",
+            "theta = 0.25 pi: fidelity spans [0.1249, 0.5061]",
+            "theta = 0.5 pi: fidelity spans [0.0000, 0.1249]",
+        ]),
+        (["map-g2"], [
+            "fidelity_map_g2: 251 rows -> fidelity_map_g2.csv",
+            "map maximum 0.9883 in column f_g2_1 at chi*t/pi = 0.225",
+        ]),
+    ],
+    ids=["fidelity", "gm-sweep", "werner", "map-g2"],
+)
+def test_summaries_at_defaults(argv, stdout, capsys):
+    # each summary line reads one value column of the result, in order
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == stdout
 
 
 def test_sw_verify_pass(tmp_path, capsys):

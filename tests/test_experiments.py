@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from resonatorsim import (
+    ResonatorSpec,
+    SystemSpec,
     TimeGrid,
     annihilation,
     build_basis,
@@ -201,7 +203,6 @@ def test_single_photon_scenarios_build_no_fock_basis(monkeypatch):
         raise AssertionError("a single-photon scenario built a Fock basis")
 
     monkeypatch.setattr(experiments, "build_basis", refuse)
-    monkeypatch.setattr(experiments, "build_full", refuse)
     scenario_population(3, points=5)
     scenario_population(4, with_kappa_mhz=0.5, points=5)
     sweep_fidelity_vs_time(3, points=5)
@@ -333,6 +334,32 @@ def test_gm_sweep_infinite_ratio_is_baseline():
     assert f[1] < f[0]  # direct coupling at g/100 costs fidelity
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [reference_spec(3), SystemSpec(6.75, 0.0, (ResonatorSpec(6.0, 45.0),) * 3, gm_mhz=1.0)],
+    ids=["reference", "detuned_gm"],
+)
+def test_werner_hamiltonian_is_the_lifted_frame_block(monkeypatch, spec):
+    # the lift of the one-photon block in resonator 1's frame is the Fock
+    # Hamiltonian shifted into that frame: bitwise at the reference point, and
+    # 4.6e-15 of the largest entry apart on this detuned spec
+    lifted = []
+
+    def recording_lift(block, basis):
+        lifted.append(hamiltonians._lift(block, basis))
+        return lifted[-1]
+
+    monkeypatch.setattr(experiments, "_lift", recording_lift)
+    sweep_werner(spec, p_grid=[0.5])
+    basis = build_basis(4, cutoff=1, excitation_cap=3)
+    reference = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    (h,) = lifted
+    if spec.gm_mhz:
+        assert np.max(np.abs(h - reference)) <= 1.0e-14 * np.max(np.abs(reference))
+    else:
+        np.testing.assert_array_equal(h, reference)
+
+
 def test_werner_routes_agree():
     # one _expm step (kappa = 0) vs the master-equation propagator
     res = sweep_werner(p_grid=[0.7], thetas_pi=[0.25])
@@ -425,6 +452,8 @@ def test_optimizer_rejects_small_n_and_bad_interval():
     # refused before numpy warns about an array built from the window
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="0 < lo < hi < inf"):
+            optimize_g1(5, search_mhz=(50.0, math.inf))
         for window in (np.inf, np.nan, 0.0):
             with pytest.raises(ValueError, match="finite and positive"):
                 optimize_g1(5, chi_t_max_over_pi=window)

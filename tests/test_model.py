@@ -1,6 +1,7 @@
 """Parameter handling, unit conversions, and the dispersive reduction."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from resonatorsim import (
     ResonatorSpec,
     SystemSpec,
+    build_basis,
+    build_sw_generator,
     derive_dispersive,
     dispersive_validity,
     ghz_to_angular,
@@ -18,6 +21,7 @@ from resonatorsim import (
     reference_spec,
     spec_from_dict,
     spec_to_dict,
+    verify_sw_identities,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -72,6 +76,31 @@ def test_zero_detuning_rejected():
     )
     with pytest.raises(ValueError, match="resonant"):
         derive_dispersive(spec)
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (derive_dispersive, "dispersive model"),
+        (dispersive_validity, "validity ratio"),
+        (verify_sw_identities, "generator"),
+        (lambda spec: build_sw_generator(spec, build_basis(4, cutoff=1)), "generator"),
+    ],
+    ids=["derive_dispersive", "dispersive_validity", "verify_sw_identities",
+         "build_sw_generator"],
+)
+def test_resonant_bus_refused_by_one_rule(call, what):
+    # every quantity with 1/Delta in it refuses resonator 2 at the bus
+    # frequency in the same words, naming what is undefined
+    spec = SystemSpec(
+        bus_freq_ghz=6.75,
+        bus_kappa_mhz=0.0,
+        resonators=(ResonatorSpec(5.75, 50.0), ResonatorSpec(6.75, 50.0),
+                    ResonatorSpec(5.75, 50.0)),
+    )
+    message = f"^resonator 2 is resonant with the bus \\(6.75 GHz\\): {what} undefined$"
+    with pytest.raises(ValueError, match=message):
+        call(spec)
 
 
 def test_dispersive_validity_flags():
@@ -185,6 +214,27 @@ def test_non_finite_spec_values_rejected(field, value):
                 resonators=(ResonatorSpec(5.75, 50.0), ResonatorSpec(5.75, 50.0)),
                 **{**system, field: value},
             )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("freq_ghz", 1.0e306), ("g_mhz", 1.0e308), ("bus_freq_ghz", 1.0e306), ("gm_mhz", 1.0e308)],
+)
+def test_spec_values_overflowing_in_rad_per_us_rejected(field, value):
+    # finite in GHz or MHz but infinite as omega, g, bus_omega or gm; refused
+    # by name before any numpy arithmetic overflows
+    resonator = {"freq_ghz": 5.75, "g_mhz": 50.0}
+    system = {"bus_freq_ghz": 6.75, "bus_kappa_mhz": 0.0, "gm_mhz": 0.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{field} in rad/us must be finite, got inf$"):
+            if field in resonator:
+                ResonatorSpec(**{**resonator, field: value})
+            else:
+                SystemSpec(
+                    resonators=(ResonatorSpec(5.75, 50.0), ResonatorSpec(5.75, 50.0)),
+                    **{**system, field: value},
+                )
 
 
 def test_too_few_resonators_rejected():
