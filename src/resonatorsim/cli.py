@@ -98,10 +98,11 @@ def _build_parser() -> argparse.ArgumentParser:
     config.add_argument("--config", default=None,
                         help="system JSON file (default: standard working point)")
     both = [config, out]
+    n_help = "number of distant resonators, default {} without --config"
 
     p = sub.add_parser("evolve", parents=both,
                        help="population trajectories (closed form vs ab initio)")
-    p.add_argument("--n", type=int, default=3, help="number of distant resonators")
+    p.add_argument("--n", type=int, default=None, help=n_help.format(3))
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--chi-t-max", type=float, default=None,
                      help="time-axis end in units of pi (chi*t/pi), "
@@ -120,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_crossings)
 
     p = sub.add_parser("fidelity", parents=both, help="fidelity vs time for several decay rates")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=None, help=n_help.format(3))
     p.add_argument("--kappas-mhz", default="0,0.25,0.5",
                    help="comma-separated decay rates in MHz")
     p.add_argument("--chi-t-max", type=float, default=DEFAULT_CHI_T_MAX_OVER_PI)
@@ -128,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fidelity)
 
     p = sub.add_parser("optimize-g1", parents=both, help="calibrate the first coupling for n >= 5")
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=int, default=None, help=n_help.format(5))
     p.add_argument("--search-mhz", default="50:80", help="search interval lo:hi in MHz")
     p.set_defaults(handler=_cmd_optimize_g1)
 
@@ -154,8 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_map_g2)
 
     p = sub.add_parser("sw-verify", parents=both, help="frame-transformation identity residuals")
-    p.add_argument("--n", type=int, default=None,
-                   help="number of distant resonators, default 3 without --config")
+    p.add_argument("--n", type=int, default=None, help=n_help.format(3))
     p.set_defaults(handler=_cmd_sw_verify)
 
     p = sub.add_parser("all", help="run every scenario subcommand into one directory")
@@ -168,19 +168,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_evolve(args) -> int:
-    spec = _load_or_reference(args, args.n)
+    spec = _load_or_reference(args, 3)
     if args.t_max_us is not None:
         chi = derive_dispersive(spec).chi_homogeneous
         chi_t_max = args.t_max_us * chi / np.pi
     else:
         chi_t_max = args.chi_t_max if args.chi_t_max is not None else DEFAULT_CHI_T_MAX_OVER_PI
     res = scenario_population(
-        args.n, spec,
+        spec.n, spec,
         with_kappa_mhz=args.kappa_mhz,
         chi_t_max_over_pi=chi_t_max,
         points=args.points,
     )
-    _emit(args, res, f"population_n{args.n}.csv")
+    _emit(args, res, f"population_n{spec.n}.csv")
     return 0
 
 
@@ -202,14 +202,14 @@ def _cmd_crossings(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
-    spec = _load_or_reference(args, args.n)
+    spec = _load_or_reference(args, 3)
     kappas = _float_list(args.kappas_mhz, "--kappas-mhz")
     res = sweep_fidelity_vs_time(
-        args.n, spec, kappas,
+        spec.n, spec, kappas,
         chi_t_max_over_pi=args.chi_t_max,
         points=args.points,
     )
-    _emit(args, res, f"fidelity_n{args.n}.csv")
+    _emit(args, res, f"fidelity_n{spec.n}.csv")
     x, *cols = res.columns.values()
     for k, col in zip(kappas, cols):
         i = int(np.argmax(col))
@@ -218,11 +218,11 @@ def _cmd_fidelity(args) -> int:
 
 
 def _cmd_optimize_g1(args) -> int:
-    spec = _load_or_reference(args, args.n)
+    spec = _load_or_reference(args, 5)
     search = _parse_interval(args.search_mhz, "--search-mhz")
-    result = optimize_g1(args.n, spec, search)
-    res = optimize_to_scenario(result, args.n, spec)
-    _emit(args, res, f"optimize_g1_n{args.n}.csv")
+    result = optimize_g1(spec.n, spec, search)
+    res = optimize_to_scenario(result, spec.n, spec)
+    _emit(args, res, f"optimize_g1_n{spec.n}.csv")
     times = ", ".join(f"{t:.4f}" for t in result.chi_t_over_pi_equal)
     print(f"g1* = {result.g1_mhz:.3f} MHz (objective {result.objective:.3e})")
     print(f"near-equal times chi*t/pi: {times}")
@@ -267,7 +267,7 @@ def _cmd_map_g2(args) -> int:
 
 
 def _cmd_sw_verify(args) -> int:
-    spec = _load_or_reference(args, 3 if args.n is None and args.config is None else args.n)
+    spec = _load_or_reference(args, 3)
     out = Path(args.out) if args.out else Path("sw_verify.json")
     rep = verify_sw_identities(spec)
     passed = rep.r1 <= SW_R1_BOUND and rep.eigenvalue_drift <= SW_DRIFT_BOUND
@@ -311,20 +311,21 @@ def _cmd_all(args) -> int:
 # --- shared plumbing --------------------------------------------------------
 
 
-def _load_or_reference(args, n: int | None):
-    """Spec from --config when given (checking it has n resonators unless n
-    is None), otherwise the standard working point with n resonators."""
-    if args.config is not None:
-        try:
-            spec = load_spec(args.config)
-        except (OSError, ValueError) as exc:
-            raise UsageError(str(exc)) from None
-        if n is not None and spec.n != n:
-            raise UsageError(
-                f"config {args.config} has {spec.n} resonators but the command needs {n}"
-            )
-        return spec
-    return reference_spec(n)
+def _load_or_reference(args, default_n: int):
+    """Spec from --config, which sets the resonator count (an explicit --n
+    must agree with it), otherwise the standard working point with --n
+    resonators, default_n when the command has no --n or it is not given.
+    A scenario for a fixed count checks the spec itself."""
+    n = getattr(args, "n", None)
+    if args.config is None:
+        return reference_spec(default_n if n is None else n)
+    try:
+        spec = load_spec(args.config)
+    except (OSError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
+    if n is not None and spec.n != n:
+        raise UsageError(f"config {args.config} has {spec.n} resonators but the command needs {n}")
+    return spec
 
 
 def _emit(args, res: ScenarioResult, default_name: str) -> None:

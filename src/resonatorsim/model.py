@@ -198,13 +198,19 @@ def dispersive_validity(spec: SystemSpec) -> list[tuple[float, str]]:
 
 def _detunings(spec: SystemSpec, what: str) -> np.ndarray:
     """spec.detunings, refusing a resonator at the bus frequency, where what
-    (a quantity with 1/Delta in it) is undefined."""
+    (a quantity with 1/Delta in it) is undefined, and one whose Lamb shift
+    g^2/Delta overflows."""
     delta = spec.detunings
-    for j in np.flatnonzero(delta == 0.0):  # the first one raises
-        raise ValueError(
-            f"resonator {j + 1} is resonant with the bus "
-            f"({spec.resonators[j].freq_ghz} GHz): {what} undefined"
-        )
+    for j, (r, d) in enumerate(zip(spec.resonators, delta.tolist())):
+        if d == 0.0:
+            raise ValueError(
+                f"resonator {j + 1} is resonant with the bus ({r.freq_ghz} GHz): {what} undefined"
+            )
+        # Python floats overflow to inf without a numpy warning
+        if not np.isfinite(r.g * r.g / d):
+            raise ValueError(
+                f"resonator {j + 1} 'g_mhz' is too large: g^2/Delta overflows, {what} undefined"
+            )
     return delta
 
 
@@ -235,30 +241,15 @@ _RES_KEYS = {"freq_ghz", "g_mhz", "kappa_mhz"}
 
 def spec_from_dict(cfg: dict) -> SystemSpec:
     """Build a SystemSpec from a configuration mapping; unknown keys rejected."""
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config root must be an object, got {type(cfg).__name__}")
-    _reject_unknown(cfg, _TOP_KEYS, "config")
-    for key in ("bus", "resonators"):
-        if key not in cfg:
-            raise ValueError(f"config is missing required key '{key}'")
-    bus = cfg["bus"]
-    if not isinstance(bus, dict):
-        raise ValueError("config 'bus' must be an object")
-    _reject_unknown(bus, _BUS_KEYS, "bus")
-    if "freq_ghz" not in bus:
-        raise ValueError("bus entry is missing 'freq_ghz'")
+    _check_object(cfg, "config", _TOP_KEYS, ("bus", "resonators"))
+    bus = _check_object(cfg["bus"], "bus", _BUS_KEYS, ("freq_ghz",))
     entries = cfg["resonators"]
     if not isinstance(entries, list) or not entries:
         raise ValueError("config 'resonators' must be a non-empty list")
     resonators = []
     for j, entry in enumerate(entries):
         where = f"resonator {j + 1}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} entry must be an object")
-        _reject_unknown(entry, _RES_KEYS, where)
-        for key in ("freq_ghz", "g_mhz"):
-            if key not in entry:
-                raise ValueError(f"{where} entry is missing '{key}'")
+        _check_object(entry, where, _RES_KEYS, ("freq_ghz", "g_mhz"))
         resonators.append(
             ResonatorSpec(
                 freq_ghz=_number(entry, "freq_ghz", where),
@@ -311,7 +302,15 @@ def _number(mapping: dict, key: str, where: str) -> float:
         raise ValueError(f"{where} '{key}' is too large for a float") from None
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+def _check_object(value, where: str, allowed: set, required: tuple) -> dict:
+    """value, refused unless it is a JSON object holding only allowed keys
+    and every required one."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {type(value).__name__}")
+    unknown = sorted(set(value) - allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{where} is missing required key '{key}'")
+    return value

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,7 @@ from resonatorsim import (
     optimize_to_scenario,
     reference_spec,
     scenario_population,
+    spec_from_dict,
     spec_to_dict,
     sweep_fidelity_map_g2,
     sweep_fidelity_vs_time,
@@ -157,6 +159,36 @@ def test_config_n_mismatch_exit_2(tmp_path, capsys):
     assert "4 resonators but the command needs 5" in capsys.readouterr().err
     assert not (tmp_path / "sw.json").exists()
     assert main(["sw-verify", "--config", str(cfg), "--out", "sw.json"]) == 0
+    # the three-resonator scenarios check the count themselves
+    for command in ("gm-sweep", "werner", "map-g2"):
+        assert main([command, "--config", str(cfg), "--out", "x.csv"]) == 2
+        assert "spec has 4 resonators but the scenario needs 3" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, n, stem, scenario",
+    [
+        (["evolve"], 4, "population_n4", lambda spec: scenario_population(4, spec)),
+        (["fidelity"], 4, "fidelity_n4", lambda spec: sweep_fidelity_vs_time(4, spec)),
+        (["optimize-g1"], 6, "optimize_g1_n6",
+         lambda spec: optimize_to_scenario(optimize_g1(6, spec), 6, spec)),
+    ],
+    ids=["evolve", "fidelity", "optimize-g1"],
+)
+def test_config_sets_the_resonator_count(argv, n, stem, scenario, tmp_path, capsys):
+    # without --n the config's count is used, default file name included;
+    # an --n that contradicts it is refused, naming both counts
+    spec = reference_spec(n)
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(spec_to_dict(spec)), encoding="utf-8")
+    assert main([*argv, "--config", str(cfg)]) == 0
+    for path in write_result(scenario(spec), tmp_path / "lib" / f"{stem}.csv"):
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg), "--n", "3", "--out", "x.csv"]) == 2
+    assert f"has {n} resonators but the command needs 3" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -200,19 +232,60 @@ def test_non_finite_config_exit_2(tmp_path, capsys):
 
 
 def test_overflowing_config_exit_2(tmp_path, capsys):
-    # 1e308 MHz is a finite JSON number, but g = 2 pi 1e308 rad/us is not;
-    # it is refused by name before numpy overflows on it
-    data = spec_to_dict(reference_spec(3))
-    for resonator in data["resonators"]:
-        resonator["g_mhz"] = 1.0e308
+    # 1e308 MHz is a finite JSON number, but g = 2 pi 1e308 rad/us is not,
+    # and at 1e160 MHz g is finite but g^2 is not; both are refused by name
+    # before numpy overflows on them
     cfg = tmp_path / "huge.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["evolve", "--config", str(cfg), "--out", "e.csv"]) == 2
-        assert main(["sw-verify", "--config", str(cfg), "--out", "sw.json"]) == 2
-    assert capsys.readouterr().err.count("g_mhz in rad/us must be finite, got inf") == 2
+    for g_mhz, refusal in [(1.0e308, "g_mhz in rad/us must be finite, got inf"),
+                           (1.0e160, "resonator 1 'g_mhz' is too large: g^2/Delta overflows")]:
+        data = spec_to_dict(reference_spec(3))
+        for resonator in data["resonators"]:
+            resonator["g_mhz"] = g_mhz
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--config", str(cfg), "--out", "e.csv"]) == 2
+            assert main(["werner", "--config", str(cfg), "--out", "w.csv"]) == 2
+            assert main(["sw-verify", "--config", str(cfg), "--out", "sw.json"]) == 2
+        assert capsys.readouterr().err.count(refusal) == 3
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+_BUS = {"freq_ghz": 6.75, "kappa_mhz": 0.0}
+_ENTRY = {"freq_ghz": 5.75, "g_mhz": 50.0}
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ([_BUS], "config must be an object, got list"),
+        ({"resonators": [_ENTRY] * 2}, "config is missing required key 'bus'"),
+        ({"bus": _BUS}, "config is missing required key 'resonators'"),
+        ({"bus": 6.75, "resonators": [_ENTRY] * 2}, "bus must be an object, got float"),
+        ({"bus": {"kappa_mhz": 0.0}, "resonators": [_ENTRY] * 2},
+         "bus is missing required key 'freq_ghz'"),
+        ({"bus": _BUS, "resonators": _ENTRY}, "config 'resonators' must be a non-empty list"),
+        ({"bus": _BUS, "resonators": []}, "config 'resonators' must be a non-empty list"),
+        ({"bus": _BUS, "resonators": [_ENTRY, 5.75]}, "resonator 2 must be an object, got float"),
+        ({"bus": _BUS, "resonators": [_ENTRY, {"g_mhz": 50.0}]},
+         "resonator 2 is missing required key 'freq_ghz'"),
+        ({"bus": _BUS, "resonators": [_ENTRY, {"freq_ghz": 5.75}]},
+         "resonator 2 is missing required key 'g_mhz'"),
+    ],
+    ids=["root", "no_bus", "no_resonators", "bus", "bus_freq", "resonators_object",
+         "resonators_empty", "entry", "entry_freq", "entry_g"],
+)
+def test_malformed_config_refused_by_name(cfg, message, tmp_path, capsys):
+    # each structural refusal names the object and the key, in the library
+    # and through the command line; the pieces alone make a valid config
+    assert spec_from_dict({"bus": _BUS, "resonators": [_ENTRY] * 2}).n == 2
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        spec_from_dict(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["evolve", "--config", str(path), "--out", "e.csv"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_non_number_config_exit_2(tmp_path, capsys):
@@ -232,10 +305,16 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
     assert main(["gm-sweep", "--kappas-mhz", "-1", "--out", "gm.csv"]) == 2
     assert main(["fidelity", "--kappas-mhz", "-0.1", "--out", "f.csv"]) == 2
     assert main(["evolve", "--n", "-2", "--out", "e.csv"]) == 2
+    assert main(["fidelity", "--kappas-mhz", "0,inf", "--out", "f.csv"]) == 2
+    assert main(["werner", "--thetas-pi", " , ", "--out", "w.csv"]) == 2
+    assert main(["optimize-g1", "--search-mhz", "50:eighty", "--out", "o.csv"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 6
+    assert err.count("error:") == 9
     assert err.count("decay rate must be finite and nonnegative") == 2
     assert "need at least 2 distant resonators, got -2" in err
+    assert "--kappas-mhz must be finite, got 'inf'" in err
+    assert "--thetas-pi received no values" in err
+    assert "--search-mhz expects lo:hi numbers, got '50:eighty'" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -333,11 +412,19 @@ def test_map_g2_cli(tmp_path):
             "fidelity_map_g2: 251 rows -> fidelity_map_g2.csv",
             "map maximum 0.9883 in column f_g2_1 at chi*t/pi = 0.225",
         ]),
+        (["evolve"], ["population_n3: 600 rows -> population_n3.csv"]),
+        (["optimize-g1"], [
+            "optimize_g1_n5: 21 rows -> optimize_g1_n5.csv",
+            "g1* = 61.803 MHz (objective 6.249e-07)",
+            "near-equal times chi*t/pi: 0.1655, 0.1850, 0.5500, 0.9150, 0.9345, 1.2655, "
+            "1.2850, 1.6500, 2.0000",
+        ]),
     ],
-    ids=["fidelity", "gm-sweep", "werner", "map-g2"],
+    ids=["fidelity", "gm-sweep", "werner", "map-g2", "evolve", "optimize-g1"],
 )
 def test_summaries_at_defaults(argv, stdout, capsys):
-    # each summary line reads one value column of the result, in order
+    # each summary line reads one value column of the result, in order; run
+    # without --n, evolve and optimize-g1 name their default counts, 3 and 5
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == stdout
 

@@ -7,11 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from resonatorsim import (
     ResonatorSpec,
     SystemSpec,
     TimeGrid,
+    WernerParams,
     annihilation,
     build_basis,
     build_full,
@@ -32,6 +34,7 @@ from resonatorsim import (
     sweep_fidelity_vs_time,
     sweep_gm,
     sweep_werner,
+    werner_initial,
     write_result,
 )
 from resonatorsim import experiments, hamiltonians, verify_sw_identities
@@ -368,8 +371,6 @@ def test_werner_routes_agree():
     chi = model.chi_homogeneous
     chi_t_star = first_crossing_chi_t(3)
     basis = build_basis(4, cutoff=1, excitation_cap=3)
-    from resonatorsim import WernerParams, werner_initial
-
     rho0 = werner_initial(WernerParams(0.7, 0.25 * np.pi), basis)
     h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
     traj = evolve_lindblad(
@@ -380,6 +381,34 @@ def test_werner_routes_agree():
     )
     f_me = fidelity_dm(traj.states[-1], ideal_target(3, chi_t_star, basis))
     assert res.columns["f_theta_0.25pi"][0] == pytest.approx(f_me, abs=1.0e-6)
+
+
+def test_damped_werner_sweep_matches_full_liouvillian():
+    # per-mode rates from the spec; the reference exponentiates the whole
+    # d^2 x d^2 generator, assembled from Kronecker products on the 15-state
+    # basis, with scipy and applies it to each row-major vec(rho0)
+    rates = (0.3, 0.1, 0.5, 0.8)  # bus first
+    spec = SystemSpec(6.75, rates[0], tuple(ResonatorSpec(5.75, 50.0, k) for k in rates[1:]))
+    res = sweep_werner(spec)
+    chi_t_star = first_crossing_chi_t(3)
+    t_star = chi_t_star / derive_dispersive(spec).chi_homogeneous
+    basis = build_basis(4, cutoff=1, excitation_cap=3)
+    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    eye = np.eye(basis.dim)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for m, kappa in enumerate(rates):
+        a = annihilation(basis, m)
+        n_op = a.conj().T @ a
+        gen += kappa * (np.kron(a, a.conj()) - 0.5 * np.kron(n_op, eye)
+                        - 0.5 * np.kron(eye, n_op.T))
+    step = scipy.linalg.expm(gen * t_star)
+    target = ideal_target(3, chi_t_star, basis)
+    for theta in (0.0, 0.25, 0.5):
+        rho = [step @ werner_initial(WernerParams(p, np.pi * theta), basis).reshape(-1)
+               for p in res.columns["p"]]
+        expected = fidelity_dm(np.reshape(rho, (-1, basis.dim, basis.dim)), target)
+        np.testing.assert_allclose(res.columns[f"f_theta_{theta:g}pi"], expected,
+                                   rtol=0, atol=1.0e-12)
 
 
 def test_optimizer_invariants():

@@ -78,7 +78,8 @@ def test_zero_detuning_rejected():
         derive_dispersive(spec)
 
 
-@pytest.mark.parametrize(
+# every quantity with 1/Delta in it, and the words naming it
+_ONE_RULE = pytest.mark.parametrize(
     "call, what",
     [
         (derive_dispersive, "dispersive model"),
@@ -89,6 +90,9 @@ def test_zero_detuning_rejected():
     ids=["derive_dispersive", "dispersive_validity", "verify_sw_identities",
          "build_sw_generator"],
 )
+
+
+@_ONE_RULE
 def test_resonant_bus_refused_by_one_rule(call, what):
     # every quantity with 1/Delta in it refuses resonator 2 at the bus
     # frequency in the same words, naming what is undefined
@@ -101,6 +105,23 @@ def test_resonant_bus_refused_by_one_rule(call, what):
     message = f"^resonator 2 is resonant with the bus \\(6.75 GHz\\): {what} undefined$"
     with pytest.raises(ValueError, match=message):
         call(spec)
+
+
+@_ONE_RULE
+def test_overflowing_lamb_shift_refused_by_one_rule(call, what):
+    # g = 2 pi 1e160 rad/us is finite but g^2 is not; the rule refuses it by
+    # name before numpy squares it
+    spec = SystemSpec(
+        bus_freq_ghz=6.75,
+        bus_kappa_mhz=0.0,
+        resonators=(ResonatorSpec(5.75, 50.0), ResonatorSpec(5.75, 1.0e160),
+                    ResonatorSpec(5.75, 50.0)),
+    )
+    message = f"^resonator 2 'g_mhz' is too large: g\\^2/Delta overflows, {what} undefined$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call(spec)
 
 
 def test_dispersive_validity_flags():
