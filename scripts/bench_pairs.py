@@ -27,7 +27,13 @@ BENCHMARK.json, a share of the parent's median, and two verdicts on it:
 "over_bound", the change's median is worse than the parent's by more than
 the bound, and "unresolved", the parent's interquartile range exceeds the
 bound and not every change run beats every parent run; the CLI and suite
-entries, which have no bound, get null for all three.  With these go
+entries, which have no bound, get null for all three.  Beside the verdicts,
+every entry keeps the ratio change / parent of each pair (pairs whose parent
+reads 0 left out) as "paired_ratio_median" and "paired_ratio_iqr", the
+median and the distance between the quartiles of those ratios: pairing
+cancels drift that moves both runs of a pair, so a paired IQR well under
+the parent's relative IQR shows drift between pairs, and one as wide shows
+noise within them.  They decide no verdict.  With these go
 both git SHAs (commit and src/ tree), the settings and the environment
 stamp of the first run on each side.  Under "call_s" it keeps, per
 workload, side and benchmark call, the median, quartiles and raw values
@@ -255,13 +261,16 @@ def _quartiles(values: list[float]) -> dict:
 
 def _compare(parent: list[float], change: list[float], better: str,
              bound: float | None = None) -> dict:
-    """Both sides' quartiles, the pairs won and the change of the medians,
-    and, given a bound (a share of the parent's median), the verdicts
-    over_bound and unresolved that the module docstring defines."""
+    """Both sides' quartiles, the pairs won, the change of the medians and
+    the paired ratios' median and IQR, and, given a bound (a share of the
+    parent's median), the verdicts over_bound and unresolved that the module
+    docstring defines."""
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     ties = sum(1 for p, c in zip(parent, change) if c == p)
     a, b = _quartiles(parent), _quartiles(change)
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    paired = _quartiles(ratios) if ratios else None
     over_bound = unresolved = None
     if bound is not None:
         allowed = bound * abs(a["median"])
@@ -280,6 +289,8 @@ def _compare(parent: list[float], change: list[float], better: str,
         "bound": bound,
         "over_bound": over_bound,
         "unresolved": unresolved,
+        "paired_ratio_median": paired and paired["median"],
+        "paired_ratio_iqr": paired and paired["q3"] - paired["q1"],
     }
 
 

@@ -9,11 +9,13 @@ caller passes; states are a transposed view of the time-last table).  A
 family of one-photon blocks: experiments._released, one stacked eigh.  One
 step exp(A): _expm (Pade scaling and squaring in numpy), which the Lindblad
 route applies over one grid spacing to each distinct Liouvillian of the
-batch, assembled on the entries reachable from the initial support.  The
-reduced amplitudes are a unitary problem in a rotated frame.  All routes
-treat the initial state as the state at grid.t_start.  Trace (Lindblad) and
-norm (amplitudes) are conserved exactly by these generators, so each
-trajectory is checked for them afterwards.
+batch, assembled on the entries reachable from the initial support and
+written in real coordinates of a Hermitian rho, so that the matrix it
+exponentiates is real.  The reduced amplitudes are a unitary problem in a
+rotated frame.  All routes treat the initial state as the state at
+grid.t_start.  Trace (Lindblad) and norm (amplitudes) are conserved
+exactly by these generators, so each trajectory is checked for them
+afterwards.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 #: largest Hilbert dimension d the Lindblad route accepts; a full-rank rho0
-#: makes every entry live, and the dense d^2 x d^2 block then takes 16 d^4
-#: bytes (17 MB at d = 32)
+#: makes every entry live: the generator's rows of the d(d+1)/2 upper
+#: entries are then a complex array of 8 d^3 (d+1) bytes (8.7 MB at d = 32),
+#: as is each collapse operator's block of them, and the real d^2 x d^2
+#: matrix that _expm takes, like each of its work arrays, 8 d^4 bytes (8.4 MB)
 MAX_LINDBLAD_DIM = 32
 
 # degree-13 Pade approximant of exp and the 1-norm up to which it is accurate
@@ -101,7 +105,8 @@ def _check_conserved(name: str, values: np.ndarray, initial, times) -> None:
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring of the degree-13 Pade
     approximant: exp(a) = r(a / 2^s)^(2^s) with the smallest s >= 0 that
-    brings the 1-norm of a / 2^s under theta_13."""
+    brings the 1-norm of a / 2^s under theta_13.  A result that overflows
+    is refused, naming the 1-norm of a."""
     norm = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0))
     if not math.isfinite(norm):
         raise ValueError(f"cannot exponentiate a matrix of 1-norm {norm}")
@@ -117,8 +122,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"the exponential of a matrix of 1-norm {norm:.6g} overflows")
     return r
 
 
@@ -178,18 +186,27 @@ def evolve_lindblad_batch(
     Each entry's Liouvillian acts on row-major vec(rho) as
     kron(D, I) + kron(I, conj(D)) + sum_k kappa_k kron(xi_k, conj(xi_k)) with
     D = -i h - sum_k kappa_k xi_k^dag xi_k / 2.  Only the entries reachable
-    from the initial support take part: the nonzero entries of rho0, closed
-    under the union sparsity pattern of the generators.  The generators map
-    that set into itself, so the restriction is exact and every other entry
-    stays exactly zero (a photon-number-conserving h with decay keeps
-    single-photon states in a 17-entry block of 25 at n = 3).  The generator
-    is assembled on those live entries alone: entry ((i, j), (p, q)) is
+    from the initial support take part: the nonzero entries of rho0 and
+    their mirrors, closed under the union sparsity pattern of the
+    generators.  The generators map that set into itself, so the
+    restriction is exact and every other entry stays exactly zero (a
+    photon-number-conserving h with decay keeps single-photon states in a
+    17-entry block of 25 at n = 3).  The generator is assembled on those
+    live entries alone: entry ((i, j), (p, q)) is
     D[i, p] delta_jq + conj(D)[j, q] delta_ip + sum_k kappa_k xi_k[i, p]
     conj(xi_k)[j, q], the products the Kronecker form holds there, without
     the d^2 x d^2 array.  Entries with the same h and the same rates share one
     generator: it is exponentiated once per distinct generator over the
-    grid spacing, and the stacked vec(rho) of its entries is stepped with
-    one matrix product per grid point.
+    grid spacing, and the stacked coordinates of its entries are stepped
+    with one matrix product per grid point.
+
+    The generator maps rho^dag to L(rho)^dag for any D and real rates, so it
+    is propagated in real coordinates of a Hermitian rho: x = Re rho_e on
+    each live entry e = (i, j) with i <= j and y = Im rho_e on those with
+    i < j.  The live set is closed from the support of rho0 made symmetric,
+    only the rows of the upper live entries are assembled, and the matrix
+    exponentiated is real, of the same size as the live set.  The states
+    returned are Herm(e^{Lt} rho0) = e^{Lt} Herm(rho0), Hermitian exactly.
 
     Parameters
     ----------
@@ -222,64 +239,84 @@ def evolve_lindblad_batch(
     if not np.all(np.isfinite(h)):
         raise ValueError("h entries must be finite")
 
-    drift = -1j * h
-    jumps = []
-    for rate, op in collapse:
-        op = np.asarray(op, dtype=complex)
+    jumps = [(np.asarray(rate, dtype=float), np.asarray(op, dtype=complex))
+             for rate, op in collapse]
+    for _, op in jumps:
         if op.shape != (dim, dim):
             raise ValueError(f"collapse operator shape {op.shape} does not match dim {dim}")
-        if not np.all(np.isfinite(op)):
-            raise ValueError("collapse operator entries must be finite")
-        rate = np.broadcast_to(np.asarray(rate, dtype=float), (nbatch,))
-        if not np.all(np.isfinite(rate)):
-            raise ValueError("collapse rates must be finite")
-        if np.any(rate < 0):
-            raise ValueError("collapse rates must be nonnegative")
-        drift = drift - 0.5 * rate[:, None, None] * (op.conj().T @ op)[None, :, :]
-        jumps.append((rate, op))
+    ops = np.array([op for _, op in jumps]).reshape(-1, dim, dim)
+    if not np.all(np.isfinite(ops)):
+        raise ValueError("collapse operator entries must be finite")
+    rates = np.array([np.broadcast_to(rate, (nbatch,)) for rate, _ in jumps]).reshape(-1, nbatch)
+    if not np.all(np.isfinite(rates)):
+        raise ValueError("collapse rates must be finite")
+    if np.any(rates < 0):
+        raise ValueError("collapse rates must be nonnegative")
+    drift = -1j * h - 0.5 * np.einsum("kb,kij->bij", rates, ops.conj().swapaxes(1, 2) @ ops)
 
     # entries with equal drift and equal rates have the same Liouvillian
     groups: dict[bytes, list[int]] = {}
     for b in range(nbatch):
-        key = drift[b].tobytes() + np.array([rate[b] for rate, _ in jumps]).tobytes()
-        groups.setdefault(key, []).append(b)
+        groups.setdefault(drift[b].tobytes() + rates[:, b].tobytes(), []).append(b)
 
-    # close the support of rho0 under the generators: D rho, rho D^dag and
-    # xi rho xi^dag fill the patterns D @ live, live @ D^T, xi @ live @ xi^T
-    drift_pattern = np.any(drift != 0, axis=0)
-    jump_patterns = [op != 0 for rate, op in jumps if np.any(rate != 0)]
+    # close the support of Herm(rho0) under the generators: each term A rho B^dag
+    # (D rho, rho D^dag, xi rho xi^dag) fills the pattern A @ live @ B^T, and
+    # the union stays symmetric; 0/1 floats make each product one BLAS call
+    drift_pattern = np.any(drift != 0, axis=0)[None]
+    eye = np.eye(dim, dtype=bool)[None]
+    jump_patterns = ops[np.any(rates != 0, axis=1)] != 0
+    left = np.concatenate((drift_pattern, eye, jump_patterns)).astype(float)
+    right = np.concatenate((eye, drift_pattern, jump_patterns)).astype(float)
     live = np.any(rho0 != 0, axis=0)
+    live |= live.T
     while True:
-        grown = live | (drift_pattern @ live) | (live @ drift_pattern.T)
-        for pattern in jump_patterns:
-            grown |= pattern @ live @ pattern.T
+        grown = live | np.any(left @ live.astype(float) @ right.swapaxes(1, 2) != 0, axis=0)
         if np.array_equal(grown, live):
             break
         live = grown
-    idx = np.flatnonzero(live)
 
-    # live entry (i, j) of rho sits at i * d + j of vec(rho)
-    rows, cols = divmod(idx, dim)
-    row_pairs, col_pairs = np.ix_(rows, rows), np.ix_(cols, cols)
-    same_row = rows[:, None] == rows[None, :]
-    same_col = cols[:, None] == cols[None, :]
-    jump_blocks = [op[row_pairs] * op.conj()[col_pairs] for _, op in jumps]
+    # live entry (i, j) of rho sits at i * d + j of vec(rho); the real
+    # coordinates are x = Re rho on the upper entries (i <= j) and y = Im rho
+    # on the strictly upper ones, whose mirrors (j, i) are the lower entries
+    upper = np.flatnonzero(np.triu(live))
+    rows, cols = divmod(upper, dim)
+    strict = np.flatnonzero(rows < cols)
+    lower = cols[strict] * dim + rows[strict]
+    # generator rows of the upper entries, columns of every live entry: flat
+    # indices of the operator entries (i, p) and (j, q) that row (i, j) and
+    # column (p, q) pick
+    col_rows, col_cols = divmod(np.concatenate((upper, lower)), dim)
+    ip = rows[:, None] * dim + col_rows
+    jq = cols[:, None] * dim + col_cols
+    same_row = rows[:, None] == col_rows[None, :]
+    same_col = cols[:, None] == col_cols[None, :]
+    jump_blocks = [op.take(ip) * op.conj().take(jq) for op in ops]
+    herm0 = (0.5 * (rho0 + rho0.conj().swapaxes(-1, -2))).reshape(nbatch, -1)
+    coords0 = np.concatenate((herm0.real[:, upper], herm0.imag[:, upper[strict]]), axis=1)
     dt = grid.span / (grid.points - 1)
     out = np.zeros((grid.points, nbatch, dim * dim), dtype=complex)
     for members in groups.values():
         b = members[0]
-        gen = drift[b][row_pairs] * same_col + drift[b].conj()[col_pairs] * same_row
-        for (rate, _), jump in zip(jumps, jump_blocks):
-            gen += rate[b] * jump
-        step_t = _expm(gen * dt).T
-        # rows are the members' live entries of vec(rho); row @ step^T = (step @ vec)^T
-        block = np.empty((grid.points, len(members), idx.size), dtype=complex)
-        block[0] = rho0[members].reshape(len(members), -1)[:, idx]
+        gen = drift[b].take(ip) * same_col + drift[b].conj().take(jq) * same_row
+        for rate, jump in zip(rates[:, b], jump_blocks):
+            gen += rate * jump
+        # rho_f = x_f + i y_f on an upper column f and x_f - i y_f on its mirror
+        on_upper, on_lower = gen[:, :upper.size], gen[:, upper.size:]
+        by_x = on_upper.copy()
+        by_x[:, strict] += on_lower
+        by_coords = np.concatenate((by_x, 1j * (on_upper[:, strict] - on_lower)), axis=1)
+        real = np.concatenate((by_coords.real, by_coords.imag[strict]))
+        step_t = _expm(real * dt).T
+        # rows are the members' coordinates; row @ step^T = (step @ coords)^T
+        block = np.empty((grid.points, len(members), real.shape[0]))
+        block[0] = coords0[members]
         for k in range(1, grid.points):
             np.matmul(block[k - 1], step_t, out=block[k])
-        out[:, np.array(members)[:, None], idx] = block
+        entries = block[..., :upper.size] + 0j
+        entries[..., strict] += 1j * block[..., upper.size:]
+        out[:, np.array(members)[:, None], upper] = entries
+        out[:, np.array(members)[:, None], lower] = entries[..., strict].conj()
     out = out.reshape((grid.points,) + rho0.shape)
-    out = 0.5 * (out + out.conj().swapaxes(-1, -2))
 
     trace0 = np.einsum("bii->b", rho0).real
     traces = np.einsum("tbii->tb", out).real

@@ -289,6 +289,9 @@ def sweep_werner(
     Decay rates are taken from the spec: with none, one step exp(-i h t*)
     by dynamics._expm advances the density matrices; otherwise the exact
     Liouvillian propagator does, exponentiating the shared generator once.
+    The initial state p |psi_theta><psi_theta| + (1 - p) M enters linearly,
+    and so does the fidelity: only the pure state of each theta (p = 1) and
+    the mixture M (p = 0) are propagated, and F(p) = p F(1) + (1 - p) F(0).
     """
     spec, chi = _homogeneous(spec, 3)
     ps = np.linspace(0.0, 1.0, 11) if p_grid is None else np.asarray(p_grid, float)
@@ -301,12 +304,12 @@ def sweep_werner(
     basis = build_basis(4, cutoff=1, excitation_cap=3)
     target = ideal_target(3, chi_t_star, basis)
     h = _lift(_one_photon_frame(spec), basis)
+    for p in ps:  # WernerParams holds the rule on a mixture weight
+        WernerParams(float(p), 0.0)
+    # the pure state of each theta (p = 1), then the mixture (p = 0)
     rho0 = np.stack(
-        [
-            werner_initial(WernerParams(float(p), np.pi * th), basis)
-            for th in thetas
-            for p in ps
-        ]
+        [werner_initial(WernerParams(1.0, np.pi * th), basis) for th in thetas]
+        + [werner_initial(WernerParams(0.0, 0.0), basis)]
     )
     kappas = np.concatenate(([spec.bus_kappa], spec.kappas))
     if np.any(kappas > 0):
@@ -316,7 +319,8 @@ def sweep_werner(
     else:
         u = _expm(-1j * t_star * h)
         final = u @ rho0 @ u.conj().T
-    fid = fidelity_dm(final, target).reshape(len(thetas), len(ps))
+    fid = fidelity_dm(final, target)
+    fid = fid[:-1, None] * ps + fid[-1] * (1.0 - ps)
 
     columns: dict = {"p": ps}
     for name, row in zip(names, fid):

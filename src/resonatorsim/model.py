@@ -9,6 +9,7 @@ so kappa = 0.5 MHz corresponds to a 2 us photon lifetime.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -198,19 +199,37 @@ def dispersive_validity(spec: SystemSpec) -> list[tuple[float, str]]:
 
 def _detunings(spec: SystemSpec, what: str) -> np.ndarray:
     """spec.detunings, refusing a resonator at the bus frequency, where what
-    (a quantity with 1/Delta in it) is undefined, and one whose Lamb shift
-    g^2/Delta overflows."""
+    (a quantity with 1/Delta in it) is undefined, and couplings whose terms
+    overflow: a Lamb shift g^2/Delta, a chi term (g_i g_j / 2)(1/Delta_i +
+    1/Delta_j), or the shifts' sum, which bounds the bus shift and the
+    Lamb-shifted splittings."""
     delta = spec.detunings
-    for j, (r, d) in enumerate(zip(spec.resonators, delta.tolist())):
-        if d == 0.0:
+    g, d = spec.couplings.tolist(), delta.tolist()
+    # Python floats overflow to inf without a numpy warning
+    lamb = 0.0
+    for j, r in enumerate(spec.resonators):
+        if d[j] == 0.0:
             raise ValueError(
                 f"resonator {j + 1} is resonant with the bus ({r.freq_ghz} GHz): {what} undefined"
             )
-        # Python floats overflow to inf without a numpy warning
-        if not np.isfinite(r.g * r.g / d):
+        shift = g[j] * g[j] / d[j]
+        if not math.isfinite(shift):
             raise ValueError(
                 f"resonator {j + 1} 'g_mhz' is too large: g^2/Delta overflows, {what} undefined"
             )
+        lamb += abs(shift)
+    for j in range(spec.n):
+        for i in range(j):
+            if not math.isfinite(0.5 * (g[i] * g[j]) * (1.0 / d[i] + 1.0 / d[j])):
+                raise ValueError(
+                    f"resonators {i + 1} and {j + 1} 'g_mhz' are too large: "
+                    f"chi term g_i g_j/Delta overflows, {what} undefined"
+                )
+    if not math.isfinite(max(spec.bus_omega, float(spec.omegas.max())) + lamb):
+        raise ValueError(
+            f"resonators' 'g_mhz' are too large: the Lamb shifts g^2/Delta sum past "
+            f"the float range, {what} undefined"
+        )
     return delta
 
 

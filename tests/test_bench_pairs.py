@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 
@@ -51,3 +53,25 @@ def test_compare_judges_each_metric_against_its_bound():
     # no bound, as for the CLI and suite entries: no verdict either
     row = compare(parent, parent, "lower")
     assert (row["bound"], row["over_bound"], row["unresolved"]) == (None, None, None)
+
+
+def test_compare_keeps_the_paired_ratios_beside_the_verdicts():
+    compare = _load_script()._compare
+    # drift between pairs: both sides climb together, the change 10 % under
+    # the parent in every pair; the parent's IQR (2.0) is past the bound, so
+    # the verdict stays unresolved, but the paired ratios do not spread
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    row = compare(parent, [0.9 * p for p in parent], "lower", 0.25)
+    assert (row["over_bound"], row["unresolved"]) == (False, True)
+    assert row["paired_ratio_median"] == pytest.approx(0.9)
+    assert row["paired_ratio_iqr"] == pytest.approx(0.0, abs=1.0e-12)
+    # noise within pairs: a steady parent and a change that scatters about
+    # it; the ratios 0.5..1.5 have the quartiles 0.65 and 1.35
+    row = compare([2.0] * 5, [1.0, 3.0, 1.6, 2.4, 2.0], "lower", 0.25)
+    assert row["paired_ratio_median"] == pytest.approx(1.0)
+    assert row["paired_ratio_iqr"] == pytest.approx(0.7)
+    # a pair whose parent reads 0 has no ratio; with none left there is no value
+    row = compare([0.0, 1.0], [1.0, 1.2], "higher", 0.01)
+    assert row["paired_ratio_median"] == pytest.approx(1.2)
+    row = compare([0.0], [1.0], "higher")
+    assert (row["paired_ratio_median"], row["paired_ratio_iqr"]) == (None, None)

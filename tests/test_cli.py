@@ -251,6 +251,37 @@ def test_overflowing_config_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_overflowing_lamb_shift_sum_exit_2(tmp_path, capsys):
+    # each resonator's g^2/Delta is finite, their sum (the bus shift) is not
+    data = spec_to_dict(reference_spec(3))
+    for resonator in data["resonators"]:
+        resonator["freq_ghz"] = 6.75 - 1.0e-12
+        resonator["g_mhz"] = 1.38e149
+    cfg = tmp_path / "sum.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(cfg), "--out", "e.csv"]) == 2
+    assert "the Lamb shifts g^2/Delta sum past the float range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_overflowing_sw_exponential_exit_2(tmp_path, capsys):
+    # g/Delta of about 1e96: g^2/Delta is finite, but e^S is not, and the
+    # exponential refuses it instead of handing infinities to the eigensolver
+    data = spec_to_dict(reference_spec(3))
+    for resonator in data["resonators"]:
+        resonator["g_mhz"] = 1.0e100
+    cfg = tmp_path / "huge_s.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sw-verify", "--config", str(cfg), "--out", "sw.json"]) == 2
+    assert re.search(r"the exponential of a matrix of 1-norm \S+ overflows",
+                     capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 _BUS = {"freq_ghz": 6.75, "kappa_mhz": 0.0}
 _ENTRY = {"freq_ghz": 5.75, "g_mhz": 50.0}
 

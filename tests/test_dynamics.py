@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,8 @@ def test_lindblad_batch_one_expm_per_distinct_generator(monkeypatch):
     calls = []
 
     def counting_expm(a):
+        # the generator in the real coordinates of a Hermitian rho
+        assert a.dtype == np.float64
         calls.append(a.shape)
         return _expm(a)
 
@@ -316,17 +319,17 @@ def _full_generator_reference(h, collapse, rho0, grid):
 
 
 def _recorded_run(monkeypatch, h, collapse, rho0, grid):
-    # the propagator's trajectory and the shapes of the matrices it exponentiated
-    shapes = []
+    # the propagator's trajectory and the matrices it exponentiated
+    matrices = []
 
     def recording_expm(a):
-        shapes.append(a.shape)
+        matrices.append(a)
         return _expm(a)
 
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_expm", recording_expm)
         states = evolve_lindblad_batch(h, collapse, rho0, grid).states
-    return states, shapes
+    return states, matrices
 
 
 def _sector_mask(basis, allowed):
@@ -351,8 +354,8 @@ def test_lindblad_werner_batch_exponentiates_occupied_sectors(monkeypatch, point
     t_star = (2.0 * np.pi / 9.0) / derive_dispersive(spec).chi_homogeneous
     grid = TimeGrid(0.0, t_star, points)
 
-    states, shapes = _recorded_run(monkeypatch, h, ops, rho0, grid)
-    assert shapes == [(69, 69)]
+    states, matrices = _recorded_run(monkeypatch, h, ops, rho0, grid)
+    assert [a.shape for a in matrices] == [(69, 69)]
     live = _sector_mask(basis, {(k, k) for k in range(4)})
     assert live.sum() == 69
     assert np.all(states[:, :, ~live] == 0)
@@ -374,8 +377,8 @@ def test_lindblad_single_photon_batch_exponentiates_17_entries(monkeypatch, poin
     ops = [(rates, annihilation(basis, m)) for m in range(4)]
     grid = TimeGrid(0.0, 0.05, points)
 
-    states, shapes = _recorded_run(monkeypatch, h, ops, rho0, grid)
-    assert shapes == [(17, 17)] * 3
+    states, matrices = _recorded_run(monkeypatch, h, ops, rho0, grid)
+    assert [a.shape for a in matrices] == [(17, 17)] * 3
     live = _sector_mask(basis, {(0, 0), (1, 1)})
     assert np.all(states[:, :, ~live] == 0)
     expected = _full_generator_reference(h, ops, rho0, grid)
@@ -393,8 +396,8 @@ def test_lindblad_full_rank_state_exponentiates_everything(monkeypatch, points):
     rho0 = np.stack([_random_density(rng, d) for _ in range(2)])
     grid = TimeGrid(0.0, 0.8, points)
 
-    states, shapes = _recorded_run(monkeypatch, h, [(0.6, op)], rho0, grid)
-    assert shapes == [(d * d, d * d)]
+    states, matrices = _recorded_run(monkeypatch, h, [(0.6, op)], rho0, grid)
+    assert [a.shape for a in matrices] == [(d * d, d * d)]
     expected = _full_generator_reference(h, [(0.6, op)], rho0, grid)
     np.testing.assert_allclose(states, expected, rtol=0, atol=1.0e-12)
 
@@ -415,13 +418,39 @@ def test_lindblad_raising_and_dephasing_collapse(monkeypatch, points):
     ops = [(0.5, creation(basis, 1)), (0.9, number(basis, 2))]
     grid = TimeGrid(0.2, 1.4, points)
 
-    states, shapes = _recorded_run(monkeypatch, h, ops, rho0, grid)
+    states, matrices = _recorded_run(monkeypatch, h, ops, rho0, grid)
     live = _sector_mask(basis, {(1, 1), (2, 2)})
     assert live.sum() == 18
-    assert shapes == [(18, 18)]
+    assert [a.shape for a in matrices] == [(18, 18)]
     assert np.all(states[:, :, ~live] == 0)
     assert states[-1, 0][live & ~_sector_mask(basis, {(1, 1)})].any()
     expected = _full_generator_reference(h, ops, rho0, grid)
+    np.testing.assert_allclose(states, expected, rtol=0, atol=1.0e-12)
+
+
+def test_lindblad_non_hermitian_rho0_gives_the_hermitian_part(monkeypatch):
+    # the generator maps rho^dag to L(rho)^dag, so the result is
+    # Herm(e^{Lt} rho0) = e^{Lt} Herm(rho0); the two coherences sit below
+    # the diagonal alone, and h does not hop, so only the support made
+    # symmetric brings their mirrors in
+    basis = build_basis(3, cutoff=1, excitation_cap=2)
+    a = [annihilation(basis, m) for m in range(3)]
+    h = 0.4 * number(basis, 1) - 0.7 * number(basis, 2)
+    rho0 = np.zeros((1, basis.dim, basis.dim), dtype=complex)
+    one = [single_photon_index(basis, m) for m in range(3)]
+    rho0[0, one[0], one[0]] = 0.7
+    rho0[0, one[2], one[2]] = 0.3
+    assert one[0] > one[1] > one[2]
+    rho0[0, one[0], one[1]] = 0.2 - 0.4j
+    rho0[0, one[1], one[2]] = 0.5j
+    ops = [(0.5, a[0]), (0.9, number(basis, 2))]
+    grid = TimeGrid(0.0, 1.1, 4)
+
+    states, matrices = _recorded_run(monkeypatch, h, ops, rho0, grid)
+    # diagonal 0 and 2, the two coherences and their mirrors, and the vacuum
+    assert [a.shape for a in matrices] == [(7, 7)]
+    expected = _full_generator_reference(h, ops, rho0, grid)
+    expected = 0.5 * (expected + expected.conj().swapaxes(-1, -2))
     np.testing.assert_allclose(states, expected, rtol=0, atol=1.0e-12)
 
 
@@ -508,7 +537,7 @@ def test_expm_matches_scipy_across_norms(kind, norm):
     _assert_expm_matches_scipy(a)
 
 
-def test_expm_of_the_werner_generator():
+def test_expm_of_the_werner_generator(monkeypatch):
     # the 69 x 69 block sweep_werner exponentiates at n = 3, cut from the
     # Kronecker generator over the occupied photon-number sectors
     spec = reference_spec(3)
@@ -517,7 +546,30 @@ def test_expm_of_the_werner_generator():
     ops = [(0.7, annihilation(basis, 0))] + [(0.2, annihilation(basis, m)) for m in (1, 2, 3)]
     t_star = (2.0 * np.pi / 9.0) / derive_dispersive(spec).chi_homogeneous
     idx = np.flatnonzero(_sector_mask(basis, {(k, k) for k in range(4)}))
-    _assert_expm_matches_scipy(_kron_generator(h, ops)[np.ix_(idx, idx)] * t_star)
+    gen = _kron_generator(h, ops)[np.ix_(idx, idx)] * t_star
+    _assert_expm_matches_scipy(gen)
+
+    # the real form the propagator exponentiates in its place: coordinates
+    # z = (Re rho on the live entries i <= j, Im rho on those with i < j),
+    # so rho = p z on the live entries, z = Re(q rho), and its exponential
+    # is Re(q e^gen p) with scipy's e^gen
+    rho0 = werner_initial(WernerParams(0.5, 0.1), basis)[None]
+    _, (real,) = _recorded_run(monkeypatch, h, ops, rho0, TimeGrid(0.0, t_star, 2))
+    assert real.dtype == np.float64 and real.shape == (69, 69)
+    rows, cols = divmod(idx, basis.dim)
+    upper, strict = np.flatnonzero(rows <= cols), np.flatnonzero(rows < cols)
+    mirror = np.searchsorted(idx, cols[strict] * basis.dim + rows[strict])
+    y = upper.size + np.arange(strict.size)
+    p = np.zeros((idx.size, idx.size), dtype=complex)
+    p[upper, np.arange(upper.size)] = 1.0
+    p[mirror, np.searchsorted(upper, strict)] = 1.0
+    p[strict, y], p[mirror, y] = 1.0j, -1.0j
+    q = np.zeros((idx.size, idx.size), dtype=complex)
+    q[np.arange(upper.size), upper] = 1.0
+    q[y, strict] = -1.0j
+    expected = (q @ scipy.linalg.expm(gen) @ p).real
+    np.testing.assert_allclose(_expm(real), expected, rtol=0, atol=1.0e-13)
+
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -526,6 +578,17 @@ def test_expm_rejects_non_finite_norm(bad):
     a[0, 2] = bad
     with pytest.raises(ValueError, match="1-norm"):
         _expm(a)
+
+
+def test_expm_refuses_an_overflowing_result():
+    # e^800 is past the float range: the squaring loop overflows quietly and
+    # the result is refused, naming the 1-norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the exponential of a matrix of 1-norm 800 overflows$"):
+            _expm(np.diag([800.0, 0.0]))
+    np.testing.assert_allclose(_expm(np.diag([700.0, 0.0])), np.diag([np.exp(700.0), 1.0]),
+                               rtol=1.0e-12)
 
 
 def test_lindblad_preserves_hermiticity_and_positivity():

@@ -19,6 +19,7 @@ from resonatorsim import (
     build_full,
     derive_dispersive,
     evolve_lindblad,
+    evolve_lindblad_batch,
     evolve_unitary,
     fidelity_dm,
     first_crossing_chi_t,
@@ -361,6 +362,30 @@ def test_werner_hamiltonian_is_the_lifted_frame_block(monkeypatch, spec):
         assert np.max(np.abs(h - reference)) <= 1.0e-14 * np.max(np.abs(reference))
     else:
         np.testing.assert_array_equal(h, reference)
+
+
+def test_damped_werner_sweep_propagates_one_state_per_theta_and_the_mixture(monkeypatch):
+    # the fidelity is linear in p: the pure state of each theta and the one
+    # maximally mixed state are propagated, whatever the length of the p grid
+    batches = []
+
+    def recording_batch(h, collapse, rho0, grid):
+        batches.append(rho0)
+        return evolve_lindblad_batch(h, collapse, rho0, grid)
+
+    monkeypatch.setattr(experiments, "evolve_lindblad_batch", recording_batch)
+    thetas = (0.0, 0.1, 0.25, 0.5)
+    sweep_werner(reference_spec(3, kappa_mhz=0.5), p_grid=np.linspace(0.0, 1.0, 7),
+                 thetas_pi=thetas)
+    (rho0,) = batches
+    basis = build_basis(4, cutoff=1, excitation_cap=3)
+    expected = [werner_initial(WernerParams(1.0, np.pi * th), basis) for th in thetas]
+    expected.append(werner_initial(WernerParams(0.0, 0.0), basis))
+    np.testing.assert_array_equal(rho0, expected)
+    # no state is built at the grid's weights, and each is still checked
+    for bad in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match="mixture weight p must be in"):
+            sweep_werner(p_grid=[0.5, bad])
 
 
 def test_werner_routes_agree():

@@ -124,6 +124,30 @@ def test_overflowing_lamb_shift_refused_by_one_rule(call, what):
             call(spec)
 
 
+@_ONE_RULE
+@pytest.mark.parametrize(
+    "resonators, refusal",
+    [
+        # 1e-12 GHz below the bus (Delta = 6.3e-9 rad/us), each g^2/Delta is
+        # 1.2e308, finite, but the bus shift, their sum, is not
+        ((ResonatorSpec(6.75 - 1.0e-12, 1.38e149),) * 3,
+         "resonators' 'g_mhz' are too large: the Lamb shifts g\\^2/Delta sum past the "
+         "float range"),
+        # g_1 g_2/Delta_1 overflows where g_1^2/Delta_1 and g_2^2/Delta_2 do not
+        ((ResonatorSpec(6.75 - 1.0e-12, 1.0e146), ResonatorSpec(1.0, 2.0e153),
+          ResonatorSpec(5.75, 50.0)),
+         "resonators 1 and 2 'g_mhz' are too large: chi term g_i g_j/Delta overflows"),
+    ],
+    ids=["lamb_shift_sum", "chi_term"],
+)
+def test_overflowing_dispersive_sums_refused_by_one_rule(call, what, resonators, refusal):
+    spec = SystemSpec(bus_freq_ghz=6.75, bus_kappa_mhz=0.0, resonators=resonators)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{refusal}, {what} undefined$"):
+            call(spec)
+
+
 def test_dispersive_validity_flags():
     good = reference_spec(2)
     assert all(flag == "pass" for _, flag in dispersive_validity(good))
