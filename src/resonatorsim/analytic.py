@@ -48,14 +48,13 @@ def populations(amplitudes: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(amplitudes)) ** 2
 
 
-def find_w_crossings(n: int, chi_t_max: float, tol: float = 1.0e-6) -> np.ndarray:
+def find_w_crossings(n: int, chi_t_max: float) -> np.ndarray:
     """All phases in (0, chi_t_max] where every resonator is equally populated.
 
     The population gap is (n^2 - 2n + 2n cos(n chi t)) / n^2, so the roots
     are the exact phases chi t = (+-arccos(1 - n/2) + 2 pi k) / n: the 2 pi/9
     family for n = 3, tangent (double) roots at pi/4 + k pi/2 for n = 4, and
-    none for n >= 5, where the gap stays at or above (n - 4)/n.  tol must be
-    positive but does not affect the result.
+    none for n >= 5, where the gap stays at or above (n - 4)/n.
     """
     if n < 2:
         raise ValueError(f"need at least 2 resonators, got n={n}")
@@ -63,8 +62,6 @@ def find_w_crossings(n: int, chi_t_max: float, tol: float = 1.0e-6) -> np.ndarra
         raise ValueError(f"chi_t_max must be finite, got {chi_t_max}")
     if chi_t_max <= 0:
         raise ValueError(f"chi_t_max must be positive, got {chi_t_max}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if n >= 5:
         return np.array([])
     a = np.arccos(1.0 - n / 2.0)

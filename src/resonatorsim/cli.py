@@ -344,7 +344,7 @@ def _write_manifest(args, outputs: list[Path], status: str,
     flags = {
         k: v
         for k, v in vars(args).items()
-        if k not in {"handler", "command"} and not callable(v)
+        if k != "command" and not callable(v)
     }
     payload = {
         "command": args.command,

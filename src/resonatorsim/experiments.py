@@ -311,9 +311,9 @@ def sweep_werner(
         [werner_initial(WernerParams(1.0, np.pi * th), basis) for th in thetas]
         + [werner_initial(WernerParams(0.0, 0.0), basis)]
     )
-    kappas = np.concatenate(([spec.bus_kappa], spec.kappas))
-    if np.any(kappas > 0):
-        ops = [(float(kappas[m]), annihilation(basis, m)) for m in range(4)]
+    kappas = _mode_rates(spec)
+    if any(kappas):
+        ops = [(kappa, annihilation(basis, m)) for m, kappa in enumerate(kappas)]
         traj = evolve_lindblad_batch(h, ops, rho0, TimeGrid(0.0, t_star, 2))
         final = traj.states[-1]
     else:
@@ -452,8 +452,8 @@ def write_result(result: ScenarioResult, csv_path) -> list[Path]:
 def write_json(path, payload: dict) -> Path:
     """Write a mapping as sorted, indented JSON, atomically.
 
-    numpy scalars and arrays become plain numbers and lists, and non-finite
-    floats their repr strings, so the file is strict JSON.  Returns the path.
+    It takes Python numbers and containers and numpy floats; non-finite floats
+    become their repr strings, so the file is strict JSON.  Returns the path.
     """
     path = Path(path)
     _write_atomic(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
@@ -471,9 +471,14 @@ def _require_n(spec: SystemSpec, n: int) -> None:
 def _require_undamped(spec: SystemSpec, decay: str) -> None:
     """Refuse a spec with decay rates: the scenario sets decay as the clause
     decay says, so the spec's rates would be silently ignored."""
-    rates = [spec.bus_kappa_mhz] + [r.kappa_mhz for r in spec.resonators]
+    rates = _mode_rates(spec)
     if any(rates):
         raise ValueError(f"the spec's decay rates {rates} MHz would be ignored: {decay}")
+
+
+def _mode_rates(spec: SystemSpec) -> list[float]:
+    """Decay rate of every mode in 1/us, bus first: kappa_mhz is already one."""
+    return [spec.bus_kappa_mhz] + [r.kappa_mhz for r in spec.resonators]
 
 
 def _require_nonempty(**axes) -> None:
@@ -510,10 +515,7 @@ def _homogeneous(spec: SystemSpec | None, n: int) -> tuple[SystemSpec, float]:
     n identical resonators and couplings, and its common hopping rate chi."""
     spec = spec if spec is not None else reference_spec(n)
     _require_n(spec, n)
-    model = derive_dispersive(spec)
-    if not model.is_homogeneous():
-        raise ValueError("the scenario expects identical resonators and couplings")
-    return spec, model.chi_homogeneous
+    return spec, derive_dispersive(spec).chi_homogeneous
 
 
 def _one_photon_frame(spec: SystemSpec) -> np.ndarray:
@@ -526,8 +528,8 @@ def _released(specs) -> tuple[np.ndarray, np.ndarray]:
     """Release of the photon from resonator 1 for a family of systems, by
     one stacked eigh of their _one_photon_frame blocks: amplitude j of
     system b at time t is sum_l weights[b, j, l] exp(-i evals[b, l] t)."""
-    hs = np.array([_one_photon_frame(spec) for spec in specs])
-    evals, vecs = np.linalg.eigh(0.5 * (hs + hs.conj().swapaxes(-1, -2)))
+    # one_photon_hamiltonian builds each block exactly Hermitian
+    evals, vecs = np.linalg.eigh(np.array([_one_photon_frame(spec) for spec in specs]))
     # the photon starts in row 1 of the block: c0 = vecs^dag e_1 is row 1 conjugated
     return evals, vecs * vecs[:, 1, None, :].conj()
 
@@ -567,13 +569,9 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if math.isfinite(v) else repr(v)
-    if isinstance(obj, np.integer):
-        return int(obj)
     return obj
 
 

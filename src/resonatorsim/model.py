@@ -2,8 +2,8 @@
 
 Unit conventions: configuration values are ordinary frequencies (GHz for
 resonator frequencies, MHz for couplings); every internal frequency is
-angular, in rad/us.  Decay rates kappa are plain rates in 1/us with no 2*pi,
-so kappa = 0.5 MHz corresponds to a 2 us photon lifetime.
+angular, in rad/us.  Decay rates kappa_mhz are read directly as plain rates
+in 1/us with no 2*pi, so kappa = 0.5 MHz corresponds to a 2 us photon lifetime.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class ResonatorSpec:
     def g(self) -> float:
         return mhz_to_angular(self.g_mhz)
 
-    @property
-    def kappa(self) -> float:
-        return float(self.kappa_mhz)
-
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -104,10 +100,6 @@ class SystemSpec:
         return ghz_to_angular(self.bus_freq_ghz)
 
     @property
-    def bus_kappa(self) -> float:
-        return float(self.bus_kappa_mhz)
-
-    @property
     def gm(self) -> float:
         return mhz_to_angular(self.gm_mhz)
 
@@ -118,10 +110,6 @@ class SystemSpec:
     @property
     def couplings(self) -> np.ndarray:
         return np.array([r.g for r in self.resonators])
-
-    @property
-    def kappas(self) -> np.ndarray:
-        return np.array([r.kappa for r in self.resonators])
 
     @property
     def detunings(self) -> np.ndarray:
@@ -148,22 +136,23 @@ class DispersiveModel:
     def n(self) -> int:
         return len(self.delta)
 
-    def is_resonant(self, atol: float = 1.0e-9) -> bool:
-        """True when all Lamb-shifted splittings vanish."""
-        return bool(np.all(np.abs(self.delta_ij) <= atol))
+    def is_resonant(self) -> bool:
+        """True when all Lamb-shifted splittings are within 1e-9 rad/us of 0."""
+        return bool(np.all(np.abs(self.delta_ij) <= 1.0e-9))
 
-    def is_homogeneous(self, rtol: float = 1.0e-12) -> bool:
-        """True when all pairwise chi agree and the model is resonant."""
+    def is_homogeneous(self) -> bool:
+        """True when the model is resonant and all pairwise chi agree to
+        1e-12 of max(1, |chi_12|)."""
         off = self.chi[~np.eye(self.n, dtype=bool)]
         return self.is_resonant() and bool(
-            np.all(np.abs(off - off[0]) <= rtol * max(1.0, abs(off[0])))
+            np.all(np.abs(off - off[0]) <= 1.0e-12 * max(1.0, abs(off[0])))
         )
 
     @property
     def chi_homogeneous(self) -> float:
         """The common chi of a homogeneous model."""
         if not self.is_homogeneous():
-            raise ValueError("model is not homogeneous; use the full chi matrix")
+            raise ValueError("resonators are not identical: their frequencies or couplings differ")
         return float(self.chi[0, 1])
 
 

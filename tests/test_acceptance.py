@@ -71,7 +71,7 @@ def _peak(result, kappa):
 
 
 def test_criterion_01_analytic_crossings_n3():
-    roots = find_w_crossings(3, 1.2 * np.pi, tol=1.0e-9) / np.pi
+    roots = find_w_crossings(3, 1.2 * np.pi) / np.pi
     # equal populations at cos(3 chi t) = -1/2, i.e. chi t / pi in {2, 4, 8, 10} / 9
     stated = np.array([2.0, 4.0, 8.0, 10.0]) / 9.0
     ok_count = len(roots) == len(stated)
@@ -89,7 +89,7 @@ def test_criterion_01_analytic_crossings_n3():
 
 
 def test_criterion_02_analytic_crossings_n4():
-    roots = find_w_crossings(4, 1.4 * np.pi, tol=1.0e-9) / np.pi
+    roots = find_w_crossings(4, 1.4 * np.pi) / np.pi
     stated = np.array([0.25, 0.75, 1.25])
     assert len(roots) == len(stated), f"found {len(roots)} roots, expected 3"
     dev = float(np.max(np.abs(roots - stated)))

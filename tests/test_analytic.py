@@ -1,5 +1,7 @@
 """Closed-form amplitudes, populations, and equal-population times."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,13 +89,13 @@ def test_crossings_n3_exact():
         3: np.array([2.0, 4.0, 8.0, 10.0]) * np.pi / 9.0,
     }
     for n, expected in exact.items():
-        roots = find_w_crossings(n, 1.5 * np.pi, tol=1.0e-9)
+        roots = find_w_crossings(n, 1.5 * np.pi)
         np.testing.assert_allclose(roots, expected, rtol=0, atol=1.0e-12)
 
 
 def test_crossings_n4_tangencies():
     # cos(4x) = -1: gap touches zero without sign change at odd multiples of pi/4
-    roots = find_w_crossings(4, 1.5 * np.pi, tol=1.0e-7)
+    roots = find_w_crossings(4, 1.5 * np.pi)
     expected = np.array([1.0, 3.0, 5.0]) * np.pi / 4.0
     np.testing.assert_allclose(roots, expected, rtol=0, atol=1.0e-12)
     # a longer window: each double root is reported once
@@ -117,7 +119,7 @@ def test_no_crossings_for_n5_homogeneous():
 
 
 def test_populations_at_first_crossing():
-    roots = find_w_crossings(3, np.pi, tol=1.0e-9)
+    roots = find_w_crossings(3, np.pi)
     p = populations(amplitudes_homogeneous(3, roots[0]))
     np.testing.assert_allclose(p, 1.0 / 3.0, atol=1.0e-8)
 
@@ -192,3 +194,22 @@ def test_design_rejects_bad_targets(target):
 def test_design_rejects_bad_scales(g_norm, detuning):
     with pytest.raises(ValueError):
         design_w_couplings((0.5, 0.5), g_norm, detuning)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: amplitude_grid(1, 0.0), "need at least 2 resonators, got n=1"),
+        (lambda: find_w_crossings(1, 1.0), "need at least 2 resonators, got n=1"),
+        (lambda: find_w_crossings(3, 0.0), "chi_t_max must be positive, got 0.0"),
+        (lambda: find_w_crossings(3, -1.0), "chi_t_max must be positive, got -1.0"),
+        (lambda: design_w_couplings((1.0, 0.0, 0.0), 100.0, 1000.0),
+         "p_1 = 1 is the initial state; there is nothing to design"),
+    ],
+    ids=["grid_n", "crossings_n", "crossings_zero_window", "crossings_negative_window",
+         "design_initial_state"],
+)
+def test_refusals(call, message):
+    # warnings are errors in this suite, so each refusal comes first
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -565,3 +565,46 @@ def test_evolve_damped_large_n(tmp_path):
         np.testing.assert_allclose(
             col[f"p_damped_{j}"], np.exp(-0.5 * t) * col[f"p_abinitio_{j}"], rtol=1e-11, atol=1e-15
         )
+
+
+def _set(data, path, value):
+    *keys, last = path
+    for key in keys:
+        data = data[key]
+    data[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("resonators", 1, "freq_ghz"), 0.0, "resonator frequency must be positive, got 0.0 GHz"),
+        (("bus", "freq_ghz"), 0.0, "bus frequency must be positive, got 0.0 GHz"),
+        (("resonators", 0, "kappa_mhz"), -0.1, "decay rate must be nonnegative, got -0.1 MHz"),
+        (("bus", "kappa_mhz"), -0.1, "bus decay rate must be nonnegative, got -0.1 MHz"),
+        (("gm_mhz",), -1.0, "direct coupling G_M must be nonnegative, got -1.0 MHz"),
+        (("resonators", 2, "g_mhz"), 60.0,
+         "resonators are not identical: their frequencies or couplings differ"),
+        (("resonators", 2, "freq_ghz"), 5.8,
+         "resonators are not identical: their frequencies or couplings differ"),
+    ],
+    ids=["freq", "bus_freq", "kappa", "bus_kappa", "gm", "coupling_differs", "freq_differs"],
+)
+def test_config_value_refusals_exit_2(path, value, message, tmp_path, capsys):
+    data = spec_to_dict(reference_spec(3))
+    _set(data, path, value)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["evolve", "--config", str(cfg), "--out", "e.csv"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_propagation_error_exit_1(tmp_path, monkeypatch, capsys):
+    # a propagation that fails its invariant check is a runtime failure
+    def fail(*args, **kwargs):
+        raise dynamics.PropagationError("norm drifted by 1.000e-03 at t = 1 us")
+
+    monkeypatch.setattr(cli, "sweep_gm", fail)
+    assert main(["gm-sweep", "--out", "gm.csv"]) == 1
+    assert capsys.readouterr().err == "error: norm drifted by 1.000e-03 at t = 1 us\n"
+    assert list(tmp_path.iterdir()) == []

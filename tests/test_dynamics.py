@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -659,3 +660,34 @@ def test_reduced_amplitude_ode_detuned_network():
     # atol stays 0.04 until the sign and the benchmark oracle that shares it
     # are corrected together
     np.testing.assert_allclose(np.abs(reduced.states) ** 2, p_full, atol=0.04)
+
+
+_GRID = TimeGrid(0.0, 1.0, 2)
+_RHO = np.eye(2, dtype=complex)[None] / 2.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: evolve_unitary(np.eye(3), np.ones(2), _GRID),
+         "state shape (2,) does not match dim 3"),
+        (lambda: evolve_lindblad_batch(np.eye(2), [], _RHO[0], _GRID),
+         "rho0 must have shape (B, d, d), got (2, 2)"),
+        (lambda: evolve_lindblad_batch(np.eye(2), [], np.ones((1, 2, 3)), _GRID),
+         "rho0 must have shape (B, d, d), got (1, 2, 3)"),
+        (lambda: evolve_lindblad_batch(np.eye(3), [], _RHO, _GRID),
+         "h must have shape (2,2) or (1,2,2)"),
+        (lambda: evolve_lindblad_batch(np.eye(2), [(0.1, np.eye(3))], _RHO, _GRID),
+         "collapse operator shape (3, 3) does not match dim 2"),
+        (lambda: evolve_lindblad(np.eye(2), [], _RHO, _GRID),
+         "rho0 must be a square matrix, got shape (1, 2, 2)"),
+        (lambda: integrate_amplitudes(derive_dispersive(reference_spec(3)), np.ones(2), _GRID),
+         "c0 must have shape (3,), got (2,)"),
+    ],
+    ids=["unitary_psi0", "batch_rho0_2d", "batch_rho0_not_square", "batch_h",
+         "batch_collapse", "lindblad_rho0", "amplitudes_c0"],
+)
+def test_shape_refusals(call, message):
+    # warnings are errors in this suite, so each refusal comes first
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ import scipy.linalg
 
 from resonatorsim import (
     ResonatorSpec,
+    ScenarioResult,
     SystemSpec,
     TimeGrid,
     WernerParams,
@@ -405,7 +408,7 @@ def test_werner_routes_agree():
         TimeGrid(0.0, chi_t_star / chi, 2),
     )
     f_me = fidelity_dm(traj.states[-1], ideal_target(3, chi_t_star, basis))
-    assert res.columns["f_theta_0.25pi"][0] == pytest.approx(f_me, abs=1.0e-6)
+    assert res.columns["f_theta_0.25pi"][0] == pytest.approx(f_me, abs=1.0e-12)
 
 
 def test_damped_werner_sweep_matches_full_liouvillian():
@@ -568,3 +571,33 @@ def test_write_result_twelve_digits(tmp_path):
                      "4.94065645841e-324,-1.5e-07"]
     # each cell reads as format(value, ".12g") of the numpy value
     assert lines[1:] == [f"{a:.12g},{b:.12g}" for a, b in zip(x, y)]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ScenarioResult("x", {"a": [0.0, 1.0], "b": [0.0]}, {}),
+         "column lengths differ: {'a': 2, 'b': 1}"),
+        (lambda: optimize_g1(grid_points=2), "need at least 3 grid points, got 2"),
+    ],
+    ids=["column_lengths", "grid_points"],
+)
+def test_refusals(call, message):
+    # warnings are errors in this suite, so each refusal comes first
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    # the text goes to a temporary file that replaces the target; when the
+    # replace fails, the error propagates and the temporary file is removed
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    result = ScenarioResult("x", {"a": [0.0, 1.0]}, {})
+    with pytest.raises(OSError, match="^replace refused$"):
+        write_result(result, tmp_path / "x.csv")
+    with pytest.raises(OSError, match="^replace refused$"):
+        experiments.write_json(tmp_path / "x.json", {"a": 1.0})
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 """Basis construction and ladder-operator algebra."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -127,3 +128,31 @@ def test_basis_states_unique_and_capped(modes, cutoff, cap):
         if cap is None or sum(occ) <= cap
     ]
     assert list(basis.states) == expected
+
+
+_BASIS = build_basis(4, cutoff=1, excitation_cap=1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _BASIS.index_of((1, 1, 0, 0)),
+         "occupation (1, 1, 0, 0) is not in this basis (modes=4, cutoff=1, excitation_cap=1)"),
+        (lambda: build_basis(1, cutoff=1), "need at least 2 modes (bus + 1 resonator), got 1"),
+        (lambda: build_basis(2, cutoff=0), "cutoff must be >= 1, got 0"),
+        (lambda: build_basis(2, cutoff=1, excitation_cap=0),
+         "excitation_cap must be >= 1 when given, got 0"),
+        (lambda: commutator(np.eye(2), np.eye(3)),
+         "commutator needs equal square matrices, got (2, 2) and (3, 3)"),
+        (lambda: commutator(np.ones((2, 3)), np.ones((2, 3))),
+         "commutator needs equal square matrices, got (2, 3) and (2, 3)"),
+        (lambda: annihilation(_BASIS, 4), "mode 4 out of range for 4-mode basis"),
+        (lambda: creation(_BASIS, -1), "mode -1 out of range for 4-mode basis"),
+    ],
+    ids=["index_of", "n_modes", "cutoff", "excitation_cap", "commutator_shapes",
+         "commutator_not_square", "mode_high", "mode_negative"],
+)
+def test_refusals(call, message):
+    # warnings are errors in this suite, so each refusal comes first
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

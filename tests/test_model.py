@@ -1,6 +1,7 @@
 """Parameter handling, unit conversions, and the dispersive reduction."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -298,3 +299,32 @@ def test_bad_config_file(tmp_path):
         load_spec(path)
     with pytest.raises(FileNotFoundError):
         load_spec(tmp_path / "missing.json")
+
+
+_PAIR = (ResonatorSpec(5.75, 50.0), ResonatorSpec(5.75, 50.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ResonatorSpec(0.0, 50.0), "resonator frequency must be positive, got 0.0 GHz"),
+        (lambda: ResonatorSpec(5.75, 50.0, -0.1), "decay rate must be nonnegative, got -0.1 MHz"),
+        (lambda: SystemSpec(-1.0, 0.0, _PAIR), "bus frequency must be positive, got -1.0 GHz"),
+        (lambda: SystemSpec(6.75, -0.1, _PAIR), "bus decay rate must be nonnegative, got -0.1 MHz"),
+        (lambda: SystemSpec(6.75, 0.0, _PAIR, gm_mhz=-1.0),
+         "direct coupling G_M must be nonnegative, got -1.0 MHz"),
+        (lambda: derive_dispersive(
+            SystemSpec(6.75, 0.0, (ResonatorSpec(5.75, 50.0), ResonatorSpec(5.75, 60.0)))
+        ).chi_homogeneous,
+         "resonators are not identical: their frequencies or couplings differ"),
+        (lambda: lifetime_from_q(0.0, 5.75), "quality factor must be positive, got 0.0"),
+        (lambda: lifetime_from_q(1.0e4, 0.0), "frequency must be positive, got 0.0 GHz"),
+        (lambda: lifetime_from_kappa(0.0), "decay rate must be positive, got 0.0 MHz"),
+    ],
+    ids=["freq", "kappa", "bus_freq", "bus_kappa", "gm", "chi_homogeneous",
+         "lifetime_q", "lifetime_freq", "lifetime_kappa"],
+)
+def test_refusals(call, message):
+    # warnings are errors in this suite, so each refusal comes first
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 """Populations, fidelities, target states, and Werner-type initial states."""
 
+import re
 import warnings
 
 import numpy as np
@@ -154,3 +155,21 @@ def test_werner_affine_in_p():
     r1 = werner_initial(WernerParams(1.0, theta), basis)
     rmid = werner_initial(WernerParams(0.37, theta), basis)
     np.testing.assert_allclose(rmid, 0.37 * r1 + 0.63 * r0, atol=1.0e-14)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda b: single_photon_populations(np.zeros(b.dim), b, 2),
+         "basis has 4 modes; expected 2 (bus-free) or 3 (with bus)"),
+        (lambda b: single_photon_populations_dm(np.zeros((b.dim, b.dim)), b, 5),
+         "basis has 4 modes; expected 5 (bus-free) or 6 (with bus)"),
+        (lambda b: werner_initial(WernerParams(0.5, 0.0), build_basis(3, cutoff=1)),
+         "Werner initial state needs a 4-mode basis, got 3"),
+    ],
+    ids=["populations_n", "populations_dm_n", "werner_modes"],
+)
+def test_refusals(basis4, call, message):
+    # warnings are errors in this suite, so each refusal comes first
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(basis4)
