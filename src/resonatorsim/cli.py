@@ -61,10 +61,6 @@ _ALL_RUNS = (
 )
 
 
-class UsageError(Exception):
-    """Bad flags or config; maps to exit code 2."""
-
-
 def main(argv=None) -> int:
     return _run(_build_parser().parse_args(argv))
 
@@ -73,7 +69,7 @@ def _run(args) -> int:
     """Run a parsed command; bad input exits 2, a failed propagation 1."""
     try:
         return args.handler(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PropagationError as exc:
@@ -321,10 +317,10 @@ def _load_or_reference(args, default_n: int):
         return reference_spec(default_n if n is None else n)
     try:
         spec = load_spec(args.config)
-    except (OSError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
     if n is not None and spec.n != n:
-        raise UsageError(f"config {args.config} has {spec.n} resonators but the command needs {n}")
+        raise ValueError(f"config {args.config} has {spec.n} resonators but the command needs {n}")
     return spec
 
 
@@ -366,21 +362,21 @@ def _float_list(raw: str, flag: str, allow_inf: bool = False) -> list[float]:
         try:
             value = float(token)
         except ValueError:
-            raise UsageError(f"{flag} expects comma-separated numbers, got {token!r}") from None
+            raise ValueError(f"{flag} expects comma-separated numbers, got {token!r}") from None
         if not allow_inf and not math.isfinite(value):
-            raise UsageError(f"{flag} must be finite, got {token!r}")
+            raise ValueError(f"{flag} must be finite, got {token!r}")
         values.append(value)
     if not values:
-        raise UsageError(f"{flag} received no values")
+        raise ValueError(f"{flag} received no values")
     return values
 
 
 def _parse_interval(raw: str, flag: str) -> tuple[float, float]:
     parts = raw.split(":")
     if len(parts) != 2:
-        raise UsageError(f"{flag} expects lo:hi, got {raw!r}")
+        raise ValueError(f"{flag} expects lo:hi, got {raw!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
-        raise UsageError(f"{flag} expects lo:hi numbers, got {raw!r}") from None
+        raise ValueError(f"{flag} expects lo:hi numbers, got {raw!r}") from None
     return lo, hi

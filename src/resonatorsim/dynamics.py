@@ -327,7 +327,7 @@ def evolve_lindblad_batch(
 def evolve_lindblad(h: np.ndarray, collapse, rho0: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Single-system wrapper around evolve_lindblad_batch; states (T, d, d)."""
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.ndim != 2:
+    if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
         raise ValueError(f"rho0 must be a square matrix, got shape {rho0.shape}")
     traj = evolve_lindblad_batch(h, collapse, rho0[None, :, :], grid)
     return Trajectory(traj.times, traj.states[:, 0])

@@ -198,26 +198,21 @@ def sweep_fidelity_vs_time(
 def sweep_fidelity_map_g2(
     spec: SystemSpec | None = None,
     g2_ratios=None,
-    chi_t_over_pi=None,
     kappa_mhz: float = 0.10,
 ) -> ScenarioResult:
-    """Fidelity map over (second-resonator coupling ratio, operation time)
-    for the three-resonator network at one uniform decay rate: column b is
-    exp(-kappa t) times the unitary fidelity of ratio b, all ratios' blocks
-    released by one stacked eigh (_released) and evaluated on the time axis."""
+    """Fidelity map over the second-resonator coupling ratio and chi*t/pi =
+    0.05, 0.055, ..., 1.3 for the three-resonator network at one uniform
+    decay rate: column b is exp(-kappa t) times the unitary fidelity of ratio
+    b, all ratios' blocks released by one stacked eigh (_released)."""
     spec, chi = _homogeneous(spec, 3)
     _require_undamped(spec, "set decay with kappa_mhz (--kappa-mhz)")
     _require_rate(kappa_mhz)
     ratios = (
         np.arange(0.5, 1.5001, 0.05) if g2_ratios is None else np.asarray(g2_ratios, float)
     )
-    x = (
-        np.arange(0.05, 1.3001, 0.005) if chi_t_over_pi is None else np.asarray(chi_t_over_pi, float)
-    )
-    _require_nonempty(g2_ratios=ratios, chi_t_over_pi=x)
+    _require_nonempty(g2_ratios=ratios)
     names = _column_names("f_g2_{:g}", ratios, "g2_ratios")
-    if not np.all(np.isfinite(x) & (x >= 0)):
-        raise ValueError(f"chi_t_over_pi must be finite and nonnegative, got {x.tolist()}")
+    x = np.arange(0.05, 1.3001, 0.005)
     times = np.pi * x / chi
     chi_t_star = first_crossing_chi_t(3)
     g2_base = spec.resonators[1].g_mhz
@@ -336,8 +331,6 @@ def optimize_g1(
     n: int = 5,
     spec: SystemSpec | None = None,
     search_mhz=(50.0, 80.0),
-    grid_points: int = 21,
-    chi_t_max_over_pi: float = 2.0,
 ) -> OptimizeG1Result:
     """Calibrate the first resonator's coupling so the network reaches
     near-equal populations despite n >= 5.
@@ -345,12 +338,13 @@ def optimize_g1(
     Resonators 2..n must share one coupling g, and all resonators one
     detuning.  The coupling is then the closed form of design_w_couplings
     for equal targets, g1* = (sqrt(n) - 1) g, and it must lie in
-    search_mhz.  Objective: min over time of max_m |P_m(t) - 1/n| from ab
-    initio unitary evolution (decay off) of the one-photon block
-    one_photon_hamiltonian, reported at g1* and on a grid_points landscape
-    over search_mhz.  All couplings share one time grid (its unit, chi of
-    the last pair, does not involve g1), one stacked eigh (_released) and one
-    buffer of resonator amplitudes that dynamics._phase_product refills.
+    search_mhz.  Objective: min over chi*t/pi in [0, 2] (8001 points) of
+    max_m |P_m(t) - 1/n| from ab initio unitary evolution (decay off) of the
+    one-photon block one_photon_hamiltonian, reported at g1* and on a
+    landscape of 21 couplings spanning search_mhz.  All couplings share one
+    time grid (its unit, chi of the last pair, does not involve g1), one
+    stacked eigh (_released) and one buffer of resonator amplitudes that
+    dynamics._phase_product refills.
     """
     if n < 5:
         raise ValueError(f"calibration targets n >= 5 (homogeneous n={n} has no gap)")
@@ -360,10 +354,6 @@ def optimize_g1(
     lo, hi = float(search_mhz[0]), float(search_mhz[1])
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"search interval must satisfy 0 < lo < hi < inf, got {search_mhz}")
-    if grid_points < 3:
-        raise ValueError(f"need at least 3 grid points, got {grid_points}")
-    if not (math.isfinite(chi_t_max_over_pi) and chi_t_max_over_pi > 0):
-        raise ValueError(f"time window must be finite and positive, got {chi_t_max_over_pi}")
     g_rest = [r.g_mhz for r in spec.resonators[1:]]
     if len(set(g_rest)) > 1:
         raise ValueError(f"resonators 2..{n} must share one coupling, got {g_rest} MHz")
@@ -377,12 +367,12 @@ def optimize_g1(
             f"interval [{lo:g}, {hi:g}] MHz"
         )
 
-    x = np.linspace(0.0, chi_t_max_over_pi, 8001)
+    x = np.linspace(0.0, 2.0, 8001)
     # chi of the last pair does not involve resonator 1 (n >= 5), so one
     # window serves every coupling
     chi_ref = float(derive_dispersive(spec).chi[-1, -2])
     window = TimeGrid(0.0, np.pi * x[-1] / chi_ref, len(x))
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 21)
     couplings = np.append(grid, g1_star)
     evals, weights = _released(_with_coupling(spec, 0, g) for g in couplings)
     weights = weights[:, 1:]

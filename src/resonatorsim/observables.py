@@ -29,12 +29,12 @@ def population_dm(rhos: np.ndarray, basis: FockBasis, occupation) -> np.ndarray:
 
 
 def _distant_photon_indices(basis: FockBasis, n: int) -> list[int]:
-    # last n modes are the distant resonators whether or not mode 0 is a bus
-    if basis.modes not in (n, n + 1):
+    # mode 0 is the bus and modes 1..n the distant resonators, as in fockspace
+    if basis.modes != n + 1:
         raise ValueError(
-            f"basis has {basis.modes} modes; expected {n} (bus-free) or {n + 1} (with bus)"
+            f"basis has {basis.modes} modes; expected {n + 1} (bus + {n} resonators)"
         )
-    return [single_photon_index(basis, m) for m in range(basis.modes - n, basis.modes)]
+    return [single_photon_index(basis, m) for m in range(1, n + 1)]
 
 
 def single_photon_populations(states: np.ndarray, basis: FockBasis, n: int) -> np.ndarray:
@@ -65,7 +65,7 @@ def fidelity_dm(rhos: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def ideal_target(n: int, chi_t: float, basis: FockBasis) -> np.ndarray:
     """The intended single-photon comparison state at phase chi_t, embedded
-    in the given basis (bus mode, if present, in vacuum).
+    in a basis of the bus (mode 0, in vacuum) and the n resonators.
 
     The embedded amplitudes are the complex conjugates of the closed-form
     rotating-frame amplitudes: the lab-frame network accumulates hopping

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, outputs, manifests, determinism."""
 
+import inspect
 import json
 import os
 import re
@@ -507,6 +508,26 @@ def test_all_writes_manifest_outputs_and_full_sw_report(tmp_path):
     for stem in [*expected, "sw_verify"]:
         run = json.loads((out / f"{stem}.manifest.json").read_text(encoding="utf-8"))
         assert run["status"] == "ok", stem
+
+
+def test_every_scenario_parameter_is_set_by_a_command(monkeypatch):
+    # a scenario setting that no command passes is one only the tests reach
+    scenarios = ("scenario_population", "sweep_fidelity_vs_time", "sweep_fidelity_map_g2",
+                 "sweep_gm", "sweep_werner", "optimize_g1", "optimize_to_scenario")
+    bound = {name: set() for name in scenarios}
+
+    def recorder(name, fn):
+        def record(*args, **kwargs):
+            bound[name].update(inspect.signature(fn).bind(*args, **kwargs).arguments)
+            return fn(*args, **kwargs)
+        return record
+
+    for name in scenarios:
+        monkeypatch.setattr(cli, name, recorder(name, getattr(cli, name)))
+    assert main(["all", "--outdir", "out"]) == 0
+    unset = {name: sorted(set(inspect.signature(getattr(resonatorsim, name)).parameters) - seen)
+             for name, seen in bound.items()}
+    assert unset == {name: [] for name in scenarios}
 
 
 def test_all_reports_a_failed_run(tmp_path, monkeypatch, capsys):

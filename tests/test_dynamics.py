@@ -681,11 +681,13 @@ _RHO = np.eye(2, dtype=complex)[None] / 2.0
          "collapse operator shape (3, 3) does not match dim 2"),
         (lambda: evolve_lindblad(np.eye(2), [], _RHO, _GRID),
          "rho0 must be a square matrix, got shape (1, 2, 2)"),
+        (lambda: evolve_lindblad(np.eye(2), [], np.ones((2, 3)), _GRID),
+         "rho0 must be a square matrix, got shape (2, 3)"),
         (lambda: integrate_amplitudes(derive_dispersive(reference_spec(3)), np.ones(2), _GRID),
          "c0 must have shape (3,), got (2,)"),
     ],
     ids=["unitary_psi0", "batch_rho0_2d", "batch_rho0_not_square", "batch_h",
-         "batch_collapse", "lindblad_rho0", "amplitudes_c0"],
+         "batch_collapse", "lindblad_rho0", "lindblad_rho0_not_square", "amplitudes_c0"],
 )
 def test_shape_refusals(call, message):
     # warnings are errors in this suite, so each refusal comes first

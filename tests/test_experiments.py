@@ -149,10 +149,10 @@ def test_map_factorization_matches_master_equation():
     # against the master equation with every mode damped at kappa
     chi = derive_dispersive(reference_spec(3)).chi_homogeneous
     chi_t_star = first_crossing_chi_t(3)
-    xs = [0.10, 0.22]
-    res = sweep_fidelity_map_g2(g2_ratios=[0.8], chi_t_over_pi=xs, kappa_mhz=0.10)
+    res = sweep_fidelity_map_g2(g2_ratios=[0.8], kappa_mhz=0.10)
     spec = _with_coupling(reference_spec(3), 1, 40.0)
-    for i, x in enumerate(xs):
+    for i in (10, 34):  # chi*t/pi = 0.10 and 0.22 on the map's fixed axis
+        x = res.columns["chi_t_over_pi"][i]
         basis, rho = _master_equation(spec, 0.10, np.pi * x / chi)
         f_me = fidelity_dm(rho[-1], ideal_target(3, chi_t_star, basis))
         np.testing.assert_allclose(res.columns["f_g2_0.8"][i], f_me, rtol=0, atol=1e-12)
@@ -189,18 +189,9 @@ def test_map_factorization_matches_master_equation():
             np.testing.assert_allclose(
                 res.columns[f"f_kappa_{kappa:g}mhz"][i], f_me, rtol=0, atol=1e-12
             )
-    # non-finite or negative operation times (where exp(-kappa t) > 1) and
-    # empty axes are refused before any array is computed from them
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for kwargs, match in (
-            ({"g2_ratios": [1.0], "chi_t_over_pi": [0.1, np.nan]}, "must be finite"),
-            ({"g2_ratios": [1.0], "chi_t_over_pi": [-0.1]}, "finite and nonnegative"),
-            ({"g2_ratios": []}, "g2_ratios is empty"),
-            ({"chi_t_over_pi": []}, "chi_t_over_pi is empty"),
-        ):
-            with pytest.raises(ValueError, match=match):
-                sweep_fidelity_map_g2(**kwargs)
+    # an empty ratio axis is refused before any array is computed from it
+    with pytest.raises(ValueError, match="g2_ratios is empty"):
+        sweep_fidelity_map_g2(g2_ratios=[])
 
 
 def test_single_photon_scenarios_build_no_fock_basis(monkeypatch):
@@ -214,8 +205,8 @@ def test_single_photon_scenarios_build_no_fock_basis(monkeypatch):
     scenario_population(4, with_kappa_mhz=0.5, points=5)
     sweep_fidelity_vs_time(3, points=5)
     sweep_gm(ratios=(math.inf, 10.0))
-    sweep_fidelity_map_g2(g2_ratios=[0.8, 1.0], chi_t_over_pi=[0.1, 0.2])
-    optimize_g1(5, grid_points=3)
+    sweep_fidelity_map_g2(g2_ratios=[0.8, 1.0])
+    optimize_g1(5)
     # the Werner sweep keeps its Fock basis, so the patch is live
     with pytest.raises(AssertionError, match="Fock basis"):
         sweep_werner(p_grid=[0.5])
@@ -452,9 +443,9 @@ def test_optimizer_invariants():
     assert np.all(np.diff(times) > 0)
 
 
-def _landscape_reference(n, spec, search, grid_points, chi_t_max_over_pi):
+def _landscape_reference(n, spec, search):
     # one TimeGrid, one evolve_unitary and one |amplitude|^2 table per coupling
-    x = np.linspace(0.0, chi_t_max_over_pi, 8001)
+    x = np.linspace(0.0, 2.0, 8001)
 
     def curve(g1):
         varied = _with_coupling(spec, 0, g1)
@@ -467,7 +458,7 @@ def _landscape_reference(n, spec, search, grid_points, chi_t_max_over_pi):
         return np.max(np.abs(p - 1.0 / n), axis=1)
 
     star = curve((np.sqrt(n) - 1.0) * spec.resonators[1].g_mhz)
-    grid = np.linspace(*search, grid_points)
+    grid = np.linspace(*search, 21)
     values = np.array([np.min(curve(g)) for g in grid])
     return np.min(star), _distinct_minima(x, star, experiments.NEAR_EQUAL_TOL), values
 
@@ -477,26 +468,23 @@ def _landscape_reference(n, spec, search, grid_points, chi_t_max_over_pi):
     [
         (5, None, {}),
         (6, reference_spec(6, gm_mhz=2.0), {"search_mhz": (60.0, 80.0)}),
-        (5, None, {"grid_points": 3, "chi_t_max_over_pi": 0.5}),
     ],
-    ids=["n5", "n6_gm2", "coarse"],
+    ids=["n5", "n6_gm2"],
 )
 def test_optimizer_landscape_matches_per_coupling_curves(n, spec, kwargs):
     # the landscape shares one time grid, one eigh and one amplitude buffer;
     # it must equal curves built one coupling at a time, bit for bit
     spec = reference_spec(n) if spec is None else spec
     search = kwargs.get("search_mhz", (50.0, 80.0))
-    grid_points = kwargs.get("grid_points", 21)
-    window = kwargs.get("chi_t_max_over_pi", 2.0)
     result = optimize_g1(n, spec, **kwargs)
-    objective, minima, values = _landscape_reference(n, spec, search, grid_points, window)
+    objective, minima, values = _landscape_reference(n, spec, search)
     assert result.objective == objective
     np.testing.assert_array_equal(result.chi_t_over_pi_equal, minima)
     np.testing.assert_array_equal(result.grid_objective, values)
     # the window comes from the last pair, which resonator 1's coupling never enters
     chis = {
         float(derive_dispersive(_with_coupling(spec, 0, g)).chi[-1, -2])
-        for g in [*np.linspace(*search, grid_points), result.g1_mhz]
+        for g in [*np.linspace(*search, 21), result.g1_mhz]
     }
     assert len(chis) == 1
 
@@ -506,19 +494,16 @@ def test_optimizer_rejects_small_n_and_bad_interval():
         optimize_g1(3)
     with pytest.raises(ValueError):
         optimize_g1(5, search_mhz=(80.0, 50.0))
-    # refused before numpy warns about an array built from the window
+    # refused before numpy warns about an array built from the interval
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="0 < lo < hi < inf"):
             optimize_g1(5, search_mhz=(50.0, math.inf))
-        for window in (np.inf, np.nan, 0.0):
-            with pytest.raises(ValueError, match="finite and positive"):
-                optimize_g1(5, chi_t_max_over_pi=window)
 
 
 def test_optimizer_closed_form_coupling():
     # g1* = (sqrt(n) - 1) g beats every grid point of its window
-    result = optimize_g1(6, search_mhz=(60.0, 80.0), grid_points=3, chi_t_max_over_pi=0.5)
+    result = optimize_g1(6, search_mhz=(60.0, 80.0))
     assert result.g1_mhz == pytest.approx((np.sqrt(6.0) - 1.0) * 50.0, rel=1.0e-15)
     assert result.objective < np.min(result.grid_objective)
 
@@ -536,11 +521,11 @@ def test_optimizer_rejects_inhomogeneous_spec():
 
 
 def test_optimize_to_scenario_metadata():
-    result = optimize_g1(5, grid_points=5, chi_t_max_over_pi=1.0)
+    result = optimize_g1(5)
     res = optimize_to_scenario(result, 5)
     assert res.metadata["g1_star_mhz"] == result.g1_mhz
     assert list(res.columns) == ["g1_mhz", "objective"]
-    assert res.rows == 5
+    assert res.rows == 21
 
 
 def test_write_result_deterministic(tmp_path):
@@ -578,9 +563,8 @@ def test_write_result_twelve_digits(tmp_path):
     [
         (lambda: ScenarioResult("x", {"a": [0.0, 1.0], "b": [0.0]}, {}),
          "column lengths differ: {'a': 2, 'b': 1}"),
-        (lambda: optimize_g1(grid_points=2), "need at least 3 grid points, got 2"),
     ],
-    ids=["column_lengths", "grid_points"],
+    ids=["column_lengths"],
 )
 def test_refusals(call, message):
     # warnings are errors in this suite, so each refusal comes first

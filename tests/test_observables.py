@@ -161,9 +161,9 @@ def test_werner_affine_in_p():
     "call, message",
     [
         (lambda b: single_photon_populations(np.zeros(b.dim), b, 2),
-         "basis has 4 modes; expected 2 (bus-free) or 3 (with bus)"),
+         "basis has 4 modes; expected 3 (bus + 2 resonators)"),
         (lambda b: single_photon_populations_dm(np.zeros((b.dim, b.dim)), b, 5),
-         "basis has 4 modes; expected 5 (bus-free) or 6 (with bus)"),
+         "basis has 4 modes; expected 6 (bus + 5 resonators)"),
         (lambda b: werner_initial(WernerParams(0.5, 0.0), build_basis(3, cutoff=1)),
          "Werner initial state needs a 4-mode basis, got 3"),
     ],
