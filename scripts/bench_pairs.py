@@ -35,7 +35,10 @@ cancels drift that moves both runs of a pair, so a paired IQR well under
 the parent's relative IQR shows drift between pairs, and one as wide shows
 noise within them.  They decide no verdict.  With these go
 both git SHAs (commit and src/ tree), the settings and the environment
-stamp of the first run on each side.  Under "call_s" it keeps, per
+stamp of the first run on each side.  The git SHAs name what is committed,
+so a checkout with uncommitted edits reads as its commit; "src_sha256"
+names the files that ran, a sha256 over the path (relative to src/) and
+bytes of every .py file under each side's src/.  Under "call_s" it keeps, per
 workload, side and benchmark call, the median, quartiles and raw values
 of that call's per-run median seconds (the "call_s" of each run's record),
 which shows which call moved when a pass time does.  Under "src_lines" it
@@ -49,6 +52,7 @@ with a pass/fail count.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -154,6 +158,7 @@ def main(argv=None) -> int:
         "call_s": {w: {side: {call: _quartiles(v) for call, v in call_s[w][side].items()}
                        for side in SIDES} for w in workloads},
         "src_lines": {side: _src_lines(dirs[side]) for side in SIDES},
+        "src_sha256": {side: _src_sha256(dirs[side]) for side in SIDES},
     }
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
@@ -254,6 +259,18 @@ def _src_lines(checkout: Path) -> dict:
     return {**counts, "total": sum(counts.values())}
 
 
+def _src_sha256(checkout: Path) -> str:
+    """sha256 over the relative path and bytes of every .py file under the
+    checkout's src/ (the files _src_lines counts), each length-prefixed."""
+    src = checkout / "src"
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(src).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def _quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "values": values}
@@ -296,7 +313,8 @@ def _compare(parent: list[float], change: list[float], better: str,
 
 def _git_sha(checkout: Path) -> dict:
     """The checkout's commit and the tree of its src/ directory, which
-    identifies the benchmarked program even across rebased commits."""
+    identifies the committed program even across rebased commits;
+    uncommitted edits show only in _src_sha256."""
     out = {}
     for key, rev in (("commit", "HEAD"), ("src_tree", "HEAD:src")):
         done = subprocess.run(["git", "-C", str(checkout), "rev-parse", rev],

@@ -12,6 +12,8 @@ the full system.
 # set before the submodules load: experiments and cli import it
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .analytic import (
     amplitude_grid,
     amplitudes_homogeneous,
@@ -90,69 +92,8 @@ from .observables import (
     werner_initial,
 )
 
-__all__ = [
-    "DISPERSIVE_WARN_RATIO",
-    "DispersiveModel",
-    "FockBasis",
-    "HamiltonianSet",
-    "OptimizeG1Result",
-    "PropagationError",
-    "ResonatorSpec",
-    "ScenarioResult",
-    "SwIdentityReport",
-    "SystemSpec",
-    "TimeGrid",
-    "Trajectory",
-    "WernerParams",
-    "amplitude_grid",
-    "amplitudes_homogeneous",
-    "annihilation",
-    "build_basis",
-    "build_full",
-    "build_sw_generator",
-    "commutator",
-    "creation",
-    "derive_dispersive",
-    "design_w_couplings",
-    "dispersive_validity",
-    "evolve_lindblad",
-    "evolve_lindblad_batch",
-    "evolve_unitary",
-    "fidelity_dm",
-    "fidelity_pure_target",
-    "find_w_crossings",
-    "first_crossing_chi_t",
-    "ghz_to_angular",
-    "ideal_target",
-    "integrate_amplitudes",
-    "lifetime_from_kappa",
-    "lifetime_from_q",
-    "load_spec",
-    "mhz_to_angular",
-    "number",
-    "one_photon_hamiltonian",
-    "optimize_g1",
-    "optimize_to_scenario",
-    "population",
-    "population_dm",
-    "populations",
-    "reference_spec",
-    "scenario_population",
-    "shift_frame",
-    "single_photon_index",
-    "single_photon_populations",
-    "single_photon_populations_dm",
-    "spec_from_dict",
-    "spec_to_dict",
-    "sweep_fidelity_map_g2",
-    "sweep_fidelity_vs_time",
-    "sweep_gm",
-    "sweep_werner",
-    "total_number",
-    "vacuum_index",
-    "verify_sw_identities",
-    "werner_initial",
-    "write_json",
-    "write_result",
-    "__version__",
-]
+# every public name bound above, except the submodules the imports bind
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+) + ["__version__"]

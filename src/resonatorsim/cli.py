@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import sys
@@ -118,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fidelity", parents=both, help="fidelity vs time for several decay rates")
     p.add_argument("--n", type=int, default=None, help=n_help.format(3))
-    p.add_argument("--kappas-mhz", default="0,0.25,0.5",
+    p.add_argument("--kappas-mhz", default=_default(sweep_fidelity_vs_time, "kappas_mhz"),
                    help="comma-separated decay rates in MHz")
     p.add_argument("--chi-t-max", type=float, default=DEFAULT_CHI_T_MAX_OVER_PI)
     p.add_argument("--points", type=int, default=DEFAULT_POINTS)
@@ -126,28 +127,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize-g1", parents=both, help="calibrate the first coupling for n >= 5")
     p.add_argument("--n", type=int, default=None, help=n_help.format(5))
-    p.add_argument("--search-mhz", default="50:80", help="search interval lo:hi in MHz")
+    p.add_argument("--search-mhz", default=_default(optimize_g1, "search_mhz", ":"),
+                   help="search interval lo:hi in MHz")
     p.set_defaults(handler=_cmd_optimize_g1)
 
     p = sub.add_parser("gm-sweep", parents=both,
                        help="fidelity vs direct resonator-resonator coupling")
-    p.add_argument("--ratios", default="inf,200,100,50,20,10,5,2,1",
+    p.add_argument("--ratios", default=_default(sweep_gm, "ratios"),
                    help="comma-separated g/G_M ratios (inf = no direct coupling)")
-    p.add_argument("--kappas-mhz", default="0,0.5")
+    p.add_argument("--kappas-mhz", default=_default(sweep_gm, "kappas_mhz"))
     p.set_defaults(handler=_cmd_gm_sweep)
 
     p = sub.add_parser("werner", parents=both,
                        help="fidelity vs Werner mixing at the operation time")
     p.add_argument("--p-grid", default=None,
                    help="comma-separated purities, default 0,0.1,...,1")
-    p.add_argument("--thetas-pi", default="0,0.25,0.5",
+    p.add_argument("--thetas-pi", default=_default(sweep_werner, "thetas_pi"),
                    help="comma-separated overlap angles in units of pi")
     p.set_defaults(handler=_cmd_werner)
 
     p = sub.add_parser("map-g2", parents=both, help="fidelity map over second coupling and time")
     p.add_argument("--ratios", default=None,
                    help="comma-separated g2/g ratios, default 0.5,0.55,...,1.5")
-    p.add_argument("--kappa-mhz", type=float, default=0.10)
+    p.add_argument("--kappa-mhz", type=float,
+                   default=_default(sweep_fidelity_map_g2, "kappa_mhz"))
     p.set_defaults(handler=_cmd_map_g2)
 
     p = sub.add_parser("sw-verify", parents=both, help="frame-transformation identity residuals")
@@ -158,6 +161,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default="results")
     p.set_defaults(handler=_cmd_all)
     return parser
+
+
+def _default(scenario, param: str, sep: str = ",") -> str:
+    """The default of scenario's param as its flag takes it: each value with
+    :g, joined by sep (argparse applies the flag's type to a string default)."""
+    value = inspect.signature(scenario).parameters[param].default
+    return sep.join(f"{v:g}" for v in np.atleast_1d(value))
 
 
 # --- subcommand handlers ----------------------------------------------------

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import amplitude_grid, amplitudes_homogeneous, find_w_crossings
+from .analytic import amplitude_grid, find_w_crossings
 from .dynamics import TimeGrid, evolve_lindblad_batch, evolve_unitary
 from .dynamics import _expm, _phase_product, _sqrt_split
 from .fockspace import annihilation, build_basis
@@ -43,6 +43,7 @@ from .hamiltonians import _lift, one_photon_hamiltonian
 from .model import SystemSpec, ResonatorSpec, derive_dispersive, spec_to_dict
 from .observables import (
     WernerParams,
+    _one_photon_target,
     fidelity_dm,
     fidelity_pure_target,
     ideal_target,
@@ -522,12 +523,6 @@ def _released(specs) -> tuple[np.ndarray, np.ndarray]:
     evals, vecs = np.linalg.eigh(np.array([_one_photon_frame(spec) for spec in specs]))
     # the photon starts in row 1 of the block: c0 = vecs^dag e_1 is row 1 conjugated
     return evals, vecs * vecs[:, 1, None, :].conj()
-
-
-def _one_photon_target(n: int, chi_t: float) -> np.ndarray:
-    """ideal_target in the layout of the one-photon block: bus amplitude 0,
-    then the conjugated closed-form amplitudes of the n resonators."""
-    return np.concatenate(([0.0], np.conj(amplitudes_homogeneous(n, chi_t))))
 
 
 def _with_coupling(spec: SystemSpec, index: int, g_mhz: float) -> SystemSpec:

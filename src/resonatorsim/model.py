@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -244,7 +244,9 @@ def lifetime_from_kappa(kappa_mhz: float) -> float:
 
 _TOP_KEYS = {"bus", "resonators", "gm_mhz"}
 _BUS_KEYS = {"freq_ghz", "kappa_mhz"}
-_RES_KEYS = {"freq_ghz", "g_mhz", "kappa_mhz"}
+#: a resonator entry's keys are ResonatorSpec's fields, required without a default
+_RES_KEYS = tuple(field.name for field in fields(ResonatorSpec))
+_RES_REQUIRED = tuple(field.name for field in fields(ResonatorSpec) if field.default is MISSING)
 
 
 def spec_from_dict(cfg: dict) -> SystemSpec:
@@ -257,14 +259,8 @@ def spec_from_dict(cfg: dict) -> SystemSpec:
     resonators = []
     for j, entry in enumerate(entries):
         where = f"resonator {j + 1}"
-        _check_object(entry, where, _RES_KEYS, ("freq_ghz", "g_mhz"))
-        resonators.append(
-            ResonatorSpec(
-                freq_ghz=_number(entry, "freq_ghz", where),
-                g_mhz=_number(entry, "g_mhz", where),
-                kappa_mhz=_number(entry, "kappa_mhz", where),
-            )
-        )
+        _check_object(entry, where, _RES_KEYS, _RES_REQUIRED)
+        resonators.append(ResonatorSpec(**{key: _number(entry, key, where) for key in _RES_KEYS}))
     return SystemSpec(
         bus_freq_ghz=_number(bus, "freq_ghz", "bus"),
         bus_kappa_mhz=_number(bus, "kappa_mhz", "bus"),
@@ -277,10 +273,7 @@ def spec_to_dict(spec: SystemSpec) -> dict:
     """Round-trippable configuration mapping for a SystemSpec."""
     return {
         "bus": {"freq_ghz": spec.bus_freq_ghz, "kappa_mhz": spec.bus_kappa_mhz},
-        "resonators": [
-            {"freq_ghz": r.freq_ghz, "g_mhz": r.g_mhz, "kappa_mhz": r.kappa_mhz}
-            for r in spec.resonators
-        ],
+        "resonators": [{key: getattr(r, key) for key in _RES_KEYS} for r in spec.resonators],
         "gm_mhz": spec.gm_mhz,
     }
 
@@ -310,12 +303,12 @@ def _number(mapping: dict, key: str, where: str) -> float:
         raise ValueError(f"{where} '{key}' is too large for a float") from None
 
 
-def _check_object(value, where: str, allowed: set, required: tuple) -> dict:
+def _check_object(value, where: str, allowed, required) -> dict:
     """value, refused unless it is a JSON object holding only allowed keys
     and every required one."""
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be an object, got {type(value).__name__}")
-    unknown = sorted(set(value) - allowed)
+    unknown = sorted(set(value).difference(allowed))
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
     for key in required:

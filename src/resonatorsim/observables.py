@@ -72,11 +72,15 @@ def ideal_target(n: int, chi_t: float, basis: FockBasis) -> np.ndarray:
     phases of the opposite sign, and only the conjugate embedding makes the
     overlap insensitive to that frame choice.  Populations are unaffected.
     """
-    c = np.conj(amplitudes_homogeneous(n, chi_t))
-    idx = _distant_photon_indices(basis, n)
     target = np.zeros(basis.dim, dtype=complex)
-    target[idx] = c
+    target[_distant_photon_indices(basis, n)] = _one_photon_target(n, chi_t)[1:]
     return target
+
+
+def _one_photon_target(n: int, chi_t: float) -> np.ndarray:
+    """ideal_target in the layout of the one-photon block: bus amplitude 0,
+    then the conjugated closed-form amplitudes of the n resonators."""
+    return np.concatenate(([0.0], np.conj(amplitudes_homogeneous(n, chi_t))))
 
 
 @dataclass(frozen=True)

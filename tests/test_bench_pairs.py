@@ -33,6 +33,25 @@ def test_src_lines_counts_each_module_and_the_total(tmp_path):
     }
 
 
+def test_src_sha256_names_the_files_not_the_commit(tmp_path):
+    bench_pairs = _load_script()
+    sides = []
+    for side in ("parent", "change"):
+        package = tmp_path / side / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("", encoding="utf-8")
+        (package / "a.py").write_text("x = 1\n", encoding="utf-8")
+        (package / "notes.txt").write_text(side, encoding="utf-8")
+        sides.append(tmp_path / side)
+    # identical .py files give one hash, whatever else lies beside them
+    parent, change = (bench_pairs._src_sha256(side) for side in sides)
+    assert parent == change
+    assert len(parent) == 64
+    # a one-byte edit, committed or not, gives another
+    (sides[1] / "src" / "pkg" / "a.py").write_text("x = 2\n", encoding="utf-8")
+    assert bench_pairs._src_sha256(sides[1]) != parent
+
+
 def test_compare_judges_each_metric_against_its_bound():
     compare = _load_script()._compare
     parent = [1.00, 1.01, 1.02, 1.03, 1.04]

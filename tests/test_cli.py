@@ -222,6 +222,28 @@ def test_parser_reuse_keeps_defaults(tmp_path):
     assert len((tmp_path / "b.csv").read_text(encoding="utf-8").splitlines()) == 601
 
 
+@pytest.mark.parametrize("command, flag, scenario", [
+    ("fidelity", "--kappas-mhz", sweep_fidelity_vs_time),
+    ("gm-sweep", "--ratios", sweep_gm),
+    ("gm-sweep", "--kappas-mhz", sweep_gm),
+    ("werner", "--thetas-pi", sweep_werner),
+    ("map-g2", "--kappa-mhz", sweep_fidelity_map_g2),
+    ("optimize-g1", "--search-mhz", optimize_g1),
+])
+def test_flag_defaults_parse_back_to_the_scenario_defaults(command, flag, scenario):
+    # a flag's default is written as text; parsed back it must give the
+    # scenario's own default exactly, not one rounded on the way
+    param = flag[2:].replace("-", "_")
+    raw = getattr(cli._build_parser().parse_args([command]), param)
+    expected = inspect.signature(scenario).parameters[param].default
+    if flag == "--search-mhz":
+        assert cli._parse_interval(raw, flag) == expected
+    elif flag == "--kappa-mhz":  # type=float: argparse has parsed it
+        assert raw == expected
+    else:
+        assert cli._float_list(raw, flag, allow_inf=True) == list(expected)
+
+
 def test_non_finite_config_exit_2(tmp_path, capsys):
     data = spec_to_dict(reference_spec(3))
     data["gm_mhz"] = float("nan")

@@ -3,10 +3,13 @@
 import json
 import re
 import warnings
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
 
+import resonatorsim
 from resonatorsim import (
     ResonatorSpec,
     SystemSpec,
@@ -183,6 +186,25 @@ def test_lifetimes_refuse_non_finite_input(call, name, value):
     # nan, infinite or zero lifetime
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
         call(value)
+
+
+def test_all_lists_every_public_name_and_no_submodule():
+    public = sorted(name for name, value in vars(resonatorsim).items()
+                    if not name.startswith("_") and not isinstance(value, ModuleType))
+    assert resonatorsim.__all__ == [*public, "__version__"]
+    namespace = {}
+    exec("from resonatorsim import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(resonatorsim.__all__)
+    assert not [name for name, value in namespace.items() if isinstance(value, ModuleType)]
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`:UserWarning")
+def test_pyproject_reads_the_package_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = Path(__file__).resolve().parents[1]
+    config = pyprojecttoml.read_configuration(root / "pyproject.toml")
+    assert config["project"]["version"] == resonatorsim.__version__
 
 
 def test_json_round_trip(tmp_path):
