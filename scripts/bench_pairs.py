@@ -43,9 +43,16 @@ workload, side and benchmark call, the median, quartiles and raw values
 of that call's per-run median seconds (the "call_s" of each run's record),
 which shows which call moved when a pass time does.  Under "src_lines" it
 keeps each side's line count of every module under src/ and their total,
-so a change that should shrink the package shows by how much.  Which
-direction is better is read from the change's BENCHMARK.json.  Exits 1
-when a run fails, reports incorrect outputs, or the suite does not finish
+so a change that should shrink the package shows by how much.  After the
+timed pairs it runs `python -m resonatorsim all` once more on each side,
+into two fresh directories, and keeps under "all_outputs" each result
+file's verdict from scripts/compare_outputs.py ("byte-identical", the
+largest difference, or the side it is missing from; manifests record
+paths and are skipped).  "settings" records PYTHONDONTWRITEBYTECODE as the
+runs see it (null when unset): with it set, every run compiles the package
+from source, so the package's size shows in setup_s and the cold starts.
+Which direction is better is read from the change's BENCHMARK.json.  Exits
+1 when a run fails, reports incorrect outputs, or the suite does not finish
 with a pass/fail count.
 """
 
@@ -53,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -137,13 +145,17 @@ def main(argv=None) -> int:
             for name in CLI_COMMANDS) + ", suite " + " / ".join(
             f"{suite[side]['wall_s'][-1]:.2f} s ({suite[side]['passed'][-1]} passed, "
             f"{suite[side]['failed'][-1]} failed)" for side in SIDES), flush=True)
+    all_outputs = _all_outputs(dirs)
+    if all_outputs is None:
+        return 1
 
     summary = {
         "settings": {"workloads": workloads, "seeds": seeds, "seconds": seconds,
                      "command": "bench/run.py --trace 0", "order": "alternating per pair",
                      "cli_commands": {name: ["python", "-m", "resonatorsim", *argv]
                                       for name, argv in CLI_COMMANDS.items()},
-                     "suite_command": ["python", *SUITE_COMMAND]},
+                     "suite_command": ["python", *SUITE_COMMAND],
+                     "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "git_sha": {side: _git_sha(dirs[side]) for side in SIDES},
         "environment": environment,
         "workloads": {w: {m: _compare(values[w]["parent"][m], values[w]["change"][m], better[m],
@@ -159,6 +171,7 @@ def main(argv=None) -> int:
                        for side in SIDES} for w in workloads},
         "src_lines": {side: _src_lines(dirs[side]) for side in SIDES},
         "src_sha256": {side: _src_sha256(dirs[side]) for side in SIDES},
+        "all_outputs": all_outputs,
     }
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
@@ -169,6 +182,8 @@ def main(argv=None) -> int:
                   f"({row['median_change']:+.1%}), change better in {row['wins']}/{row['pairs']}")
     print("src lines: " + " -> ".join(str(summary["src_lines"][side]["total"])
                                       for side in SIDES))
+    identical = sum(verdict == "byte-identical" for verdict in all_outputs.values())
+    print(f"all outputs: {identical}/{len(all_outputs)} byte-identical")
     print(f"wrote {out}")
     return 0
 
@@ -248,6 +263,38 @@ def _time_suite(checkout: Path):
               f"{(done.stdout + done.stderr)[-2000:]}", file=sys.stderr)
         return None
     return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
+
+
+def _all_outputs(dirs: dict):
+    """Run `python -m resonatorsim all` once per side into a fresh directory
+    and compare the two; None when a run fails."""
+    with tempfile.TemporaryDirectory() as workdir:
+        outdirs = {side: Path(workdir) / side for side in SIDES}
+        for side in SIDES:
+            cmd = [sys.executable, "-m", "resonatorsim", "all", "--outdir", str(outdirs[side])]
+            done = subprocess.run(cmd, cwd=workdir, env=_src_env(dirs[side]),
+                                  capture_output=True, text=True, timeout=600)
+            if done.returncode != 0:
+                print(f"error: {' '.join(cmd)} from {dirs[side]} exited {done.returncode}:\n"
+                      f"{done.stderr[-2000:]}", file=sys.stderr)
+                return None
+        return _output_verdicts(outdirs["parent"], outdirs["change"])
+
+
+def _output_verdicts(parent: Path, change: Path) -> dict:
+    """Per result file, in name order, compare_outputs' verdict on the two
+    directories' copies, or "missing from parent" / "missing from change"."""
+    module_spec = importlib.util.spec_from_file_location(
+        "compare_outputs", Path(__file__).with_name("compare_outputs.py"))
+    compare_outputs = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(compare_outputs)
+    names = {"parent": compare_outputs._result_files(parent),
+             "change": compare_outputs._result_files(change)}
+    verdicts = {name: compare_outputs._compare(parent / name, change / name)
+                for name in names["parent"] & names["change"]}
+    for name in names["parent"] ^ names["change"]:
+        verdicts[name] = f"missing from {'change' if name in names['parent'] else 'parent'}"
+    return dict(sorted(verdicts.items()))
 
 
 def _src_lines(checkout: Path) -> dict:

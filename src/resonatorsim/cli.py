@@ -6,7 +6,7 @@ Contract: every successful run writes its outputs atomically together with
 a JSON run manifest (command, flags, config, output list, status); identical
 invocations produce byte-identical files, and all.manifest.json lists the
 outputs of `all`'s runs.  Exit codes: 0 success, 1 runtime or verification
-failure, 2 bad flags or config.
+failure, 2 bad flags, config or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    """Run a parsed command; bad input exits 2, a failed propagation 1."""
+    """Run a parsed command; bad input or an unusable path exits 2, a failed propagation 1."""
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PropagationError as exc:
@@ -325,10 +325,7 @@ def _load_or_reference(args, default_n: int):
     n = getattr(args, "n", None)
     if args.config is None:
         return reference_spec(default_n if n is None else n)
-    try:
-        spec = load_spec(args.config)
-    except OSError as exc:
-        raise ValueError(str(exc)) from None
+    spec = load_spec(args.config)
     if n is not None and spec.n != n:
         raise ValueError(f"config {args.config} has {spec.n} resonators but the command needs {n}")
     return spec
@@ -345,8 +342,7 @@ def _emit(args, res: ScenarioResult, default_name: str) -> None:
 
 def _write_manifest(args, outputs: list[Path], status: str,
                     manifest_path: Path | None = None) -> Path:
-    primary = outputs[0]
-    path = manifest_path or primary.with_name(primary.stem + ".manifest.json")
+    path = manifest_path or outputs[0].with_name(outputs[0].stem + ".manifest.json")
     flags = {
         k: v
         for k, v in vars(args).items()

@@ -48,7 +48,7 @@ class ResonatorSpec:
     kappa_mhz: float = 0.0
 
     def __post_init__(self):
-        _require_finite(freq_ghz=self.freq_ghz, g_mhz=self.g_mhz, kappa_mhz=self.kappa_mhz)
+        _require_finite(**{key: getattr(self, key) for key in _RES_KEYS})
         _require_finite(**{"freq_ghz in rad/us": self.omega, "g_mhz in rad/us": self.g})
         if self.freq_ghz <= 0:
             raise ValueError(f"resonator frequency must be positive, got {self.freq_ghz} GHz")
@@ -77,9 +77,7 @@ class SystemSpec:
     gm_mhz: float = 0.0
 
     def __post_init__(self):
-        _require_finite(
-            bus_freq_ghz=self.bus_freq_ghz, bus_kappa_mhz=self.bus_kappa_mhz, gm_mhz=self.gm_mhz
-        )
+        _require_finite(**{key: getattr(self, key) for key in _SYSTEM_NUMBERS})
         _require_finite(**{"bus_freq_ghz in rad/us": self.bus_omega, "gm_mhz in rad/us": self.gm})
         if self.bus_freq_ghz <= 0:
             raise ValueError(f"bus frequency must be positive, got {self.bus_freq_ghz} GHz")
@@ -115,6 +113,12 @@ class SystemSpec:
     def detunings(self) -> np.ndarray:
         """Delta_j = Omega_0 - omega_j, in rad/us."""
         return self.bus_omega - self.omegas
+
+
+#: each spec's numeric fields in field order; a resonator's are also its config keys
+_RES_KEYS = tuple(field.name for field in fields(ResonatorSpec))
+_RES_REQUIRED = tuple(field.name for field in fields(ResonatorSpec) if field.default is MISSING)
+_SYSTEM_NUMBERS = tuple(field.name for field in fields(SystemSpec) if field.name != "resonators")
 
 
 @dataclass(frozen=True)
@@ -244,9 +248,6 @@ def lifetime_from_kappa(kappa_mhz: float) -> float:
 
 _TOP_KEYS = {"bus", "resonators", "gm_mhz"}
 _BUS_KEYS = {"freq_ghz", "kappa_mhz"}
-#: a resonator entry's keys are ResonatorSpec's fields, required without a default
-_RES_KEYS = tuple(field.name for field in fields(ResonatorSpec))
-_RES_REQUIRED = tuple(field.name for field in fields(ResonatorSpec) if field.default is MISSING)
 
 
 def spec_from_dict(cfg: dict) -> SystemSpec:

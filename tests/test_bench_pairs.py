@@ -94,3 +94,25 @@ def test_compare_keeps_the_paired_ratios_beside_the_verdicts():
     assert row["paired_ratio_median"] == pytest.approx(1.2)
     row = compare([0.0], [1.0], "higher")
     assert (row["paired_ratio_median"], row["paired_ratio_iqr"]) == (None, None)
+
+
+def test_output_verdicts_name_each_result_file(tmp_path):
+    verdicts = _load_script()._output_verdicts
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+        (side / "p.csv").write_text("x,y\n0,0.5\n1,0.25\n", encoding="utf-8")
+        (side / "p.meta.json").write_text('{"rows": 2}\n', encoding="utf-8")
+        # manifests record paths, so they are never compared
+        (side / "p.manifest.json").write_text(f'{{"outputs": ["{side}"]}}\n', encoding="utf-8")
+    assert verdicts(parent, change) == {"p.csv": "byte-identical",
+                                        "p.meta.json": "byte-identical"}
+    (change / "p.csv").write_text("x,y\n0,0.5\n1,0.2500003\n", encoding="utf-8")
+    (parent / "gone.csv").write_text("x\n1\n", encoding="utf-8")
+    (change / "new.json").write_text("{}\n", encoding="utf-8")
+    assert verdicts(parent, change) == {
+        "gone.csv": "missing from change",
+        "new.json": "missing from parent",
+        "p.csv": "largest absolute difference 3e-07",
+        "p.meta.json": "byte-identical",
+    }

@@ -568,6 +568,56 @@ def test_all_reports_a_failed_run(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out" / "bad.csv").exists()
 
 
+def test_all_with_no_successful_run_writes_an_empty_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_ALL_RUNS", (
+        (["crossings", "--n", "3", "--chi-t-max", "nan"], "bad.csv"),
+    ))
+    assert main(["all", "--outdir", "out"]) == 2
+    assert "0/1 runs ok, 0 output files" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "out" / "all.manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["outputs"], manifest["status"]) == ([], "failed")
+
+
+def test_unreadable_config_reported_in_the_loaders_words(capsys):
+    # _run reports the loader's OSError as it is, with no wrapper of its own
+    assert main(["werner", "--config", "absent.json"]) == 2
+    assert capsys.readouterr().err == "error: config file not found: absent.json\n"
+
+
+@pytest.mark.parametrize("argv", [["evolve", "--n", "3", "--out", os.path.join("F", "x.csv")],
+                                  ["all", "--outdir", "F"]], ids=["evolve", "all"])
+def test_output_under_a_regular_file_exit_2(argv, tmp_path, capsys):
+    # an OSError from writing is reported in one line per failed write, like
+    # any bad input, and leaves no temporary file behind
+    (tmp_path / "F").write_text("", encoding="utf-8")
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("error:") and "'F'" in line for line in err)
+    assert list(tmp_path.iterdir()) == [tmp_path / "F"]
+    assert (tmp_path / "F").read_text(encoding="utf-8") == ""
+
+
+def test_all_finishes_its_table_after_a_failed_write(tmp_path, capsys):
+    # population_n3.csv cannot be written over a directory; the ten other
+    # runs still write their files, and all.manifest.json lists only those
+    (tmp_path / "D" / "population_n3.csv").mkdir(parents=True)
+    assert main(["all", "--outdir", "D"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "population_n3.csv" in err[0]
+    assert list((tmp_path / "D" / "population_n3.csv").iterdir()) == []
+    expected = []
+    for _, name in cli._ALL_RUNS[1:]:
+        run = tmp_path / "D" / (os.path.splitext(name)[0] + ".manifest.json")
+        expected += [*json.loads(run.read_text(encoding="utf-8"))["outputs"],
+                     os.path.join("D", run.name)]
+    manifest = json.loads((tmp_path / "D" / "all.manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["outputs"], manifest["status"]) == (expected, "failed")
+    assert len(expected) == 29 and all(os.path.isfile(path) for path in expected)
+    written = {p.name for p in (tmp_path / "D").iterdir()}
+    assert written == {os.path.basename(path) for path in expected} | {
+        "all.manifest.json", "population_n3.csv"}
+
+
 def test_damped_config_refused_where_decay_comes_from_flags(tmp_path, capsys):
     # fidelity takes its rates from --kappas-mhz; a config's rates would be
     # ignored, so it is refused before anything is written

@@ -35,6 +35,8 @@ from resonatorsim import (
 from resonatorsim import dynamics
 from resonatorsim.dynamics import MAX_LINDBLAD_DIM, _expm
 
+from kron_liouvillian import kron_generator as _kron_generator
+
 
 def _random_hermitian(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -283,19 +285,6 @@ def test_lindblad_batch_one_expm_per_distinct_generator(monkeypatch):
     rho8 = np.stack([_random_density(rng, d) for _ in range(8)])
     evolve_lindblad_batch(h, [(0.5, op)], rho8, grid)
     assert len(calls) == 1
-
-
-def _kron_generator(h, collapse):
-    # the whole d^2 x d^2 generator, assembled term by term from
-    # vec(A X B) = kron(A, B^T) vec(X) for row-major vec; rates are scalars
-    eye = np.eye(h.shape[0])
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for kappa, op in collapse:
-        n_op = op.conj().T @ op
-        gen = gen + kappa * (
-            np.kron(op, op.conj()) - 0.5 * np.kron(n_op, eye) - 0.5 * np.kron(eye, n_op.T)
-        )
-    return gen
 
 
 def _full_generator_reference(h, collapse, rho0, grid):

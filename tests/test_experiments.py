@@ -45,6 +45,8 @@ from resonatorsim import experiments, hamiltonians, verify_sw_identities
 from resonatorsim.dynamics import _expm
 from resonatorsim.experiments import _distinct_minima, _with_coupling
 
+from kron_liouvillian import kron_generator
+
 
 def test_reference_spec_values():
     spec = reference_spec(4, kappa_mhz=0.25, gm_mhz=1.0)
@@ -413,14 +415,8 @@ def test_damped_werner_sweep_matches_full_liouvillian():
     t_star = chi_t_star / derive_dispersive(spec).chi_homogeneous
     basis = build_basis(4, cutoff=1, excitation_cap=3)
     h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
-    eye = np.eye(basis.dim)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for m, kappa in enumerate(rates):
-        a = annihilation(basis, m)
-        n_op = a.conj().T @ a
-        gen += kappa * (np.kron(a, a.conj()) - 0.5 * np.kron(n_op, eye)
-                        - 0.5 * np.kron(eye, n_op.T))
-    step = scipy.linalg.expm(gen * t_star)
+    ops = [(kappa, annihilation(basis, m)) for m, kappa in enumerate(rates)]
+    step = scipy.linalg.expm(kron_generator(h, ops) * t_star)
     target = ideal_target(3, chi_t_star, basis)
     for theta in (0.0, 0.25, 0.5):
         rho = [step @ werner_initial(WernerParams(p, np.pi * theta), basis).reshape(-1)

@@ -1,6 +1,8 @@
 """Parameter handling, unit conversions, and the dispersive reduction."""
 
+import dataclasses
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -282,6 +284,33 @@ def test_non_finite_spec_values_rejected(field, value):
                 resonators=(ResonatorSpec(5.75, 50.0), ResonatorSpec(5.75, 50.0)),
                 **{**system, field: value},
             )
+
+
+#: a valid value for every spec field without a default
+_REQUIRED_VALUES = {"freq_ghz": 5.75, "g_mhz": 50.0, "bus_freq_ghz": 6.75, "bus_kappa_mhz": 0.0,
+                    "resonators": (ResonatorSpec(5.75, 50.0), ResonatorSpec(5.75, 50.0))}
+
+
+def _required(cls) -> dict:
+    return {f.name: _REQUIRED_VALUES[f.name] for f in dataclasses.fields(cls)
+            if f.default is dataclasses.MISSING}
+
+
+@pytest.mark.parametrize("cls, field", [
+    (cls, f.name) for cls in (ResonatorSpec, SystemSpec)
+    for f in dataclasses.fields(cls) if f.name != "resonators"
+])
+def test_nan_in_every_spec_field_refused_by_its_name(cls, field):
+    # the fields come from the dataclass, so a field added later is covered too
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got nan$"):
+        cls(**{**_required(cls), field: math.nan})
+
+
+@pytest.mark.parametrize("cls, first", [(ResonatorSpec, "freq_ghz"), (SystemSpec, "bus_freq_ghz")])
+def test_first_non_finite_field_in_field_order_is_named(cls, first):
+    numbers = [f.name for f in dataclasses.fields(cls) if f.name != "resonators"]
+    with pytest.raises(ValueError, match=f"^{first} must be finite, got nan$"):
+        cls(**{**_required(cls), **dict.fromkeys(numbers, math.nan)})
 
 
 @pytest.mark.parametrize(
