@@ -48,7 +48,10 @@ timed pairs it runs `python -m resonatorsim all` once more on each side,
 into two fresh directories, and keeps under "all_outputs" each result
 file's verdict from scripts/compare_outputs.py ("byte-identical", the
 largest difference, or the side it is missing from; manifests record
-paths and are skipped).  "settings" records PYTHONDONTWRITEBYTECODE as the
+paths and are skipped).  No default run of `all` has decay rates, so it
+does the same for one damped `werner --config` (per-mode rates 0.3, 0.1,
+0.5 and 0.8 MHz, bus first, from a temporary config) under
+"damped_werner_outputs".  "settings" records PYTHONDONTWRITEBYTECODE as the
 runs see it (null when unset): with it set, every run compiles the package
 from source, so the package's size shows in setup_s and the cold starts.
 Which direction is better is read from the change's BENCHMARK.json.  Exits
@@ -82,6 +85,24 @@ CLI_COMMANDS = {
 
 #: the tier-1 suite, run in the checkout with its src/ on PYTHONPATH
 SUITE_COMMAND = ["-m", "pytest", "-q"]
+
+#: the runs whose result files are compared between the sides, by summary
+#: key: argv after `python -m resonatorsim`, {out} standing for the side's
+#: output directory; no default run of `all` has decay rates, so the damped
+#: Werner sweep runs on its own, from the config DAMPED_CONFIG
+OUTPUT_RUNS = {
+    "all_outputs": ["all", "--outdir", "{out}"],
+    "damped_werner_outputs": ["werner", "--config", "damped.json",
+                              "--out", "{out}/werner_sweep.csv"],
+}
+
+#: the standard working point with per-mode decay rates 0.3 (bus), 0.1, 0.5
+#: and 0.8 MHz, written to damped.json beside the runs
+DAMPED_CONFIG = {
+    "bus": {"freq_ghz": 6.75, "kappa_mhz": 0.3},
+    "resonators": [{"freq_ghz": 5.75, "g_mhz": 50.0, "kappa_mhz": k} for k in (0.1, 0.5, 0.8)],
+    "gm_mhz": 0.0,
+}
 
 
 def main(argv=None) -> int:
@@ -145,8 +166,8 @@ def main(argv=None) -> int:
             for name in CLI_COMMANDS) + ", suite " + " / ".join(
             f"{suite[side]['wall_s'][-1]:.2f} s ({suite[side]['passed'][-1]} passed, "
             f"{suite[side]['failed'][-1]} failed)" for side in SIDES), flush=True)
-    all_outputs = _all_outputs(dirs)
-    if all_outputs is None:
+    outputs = _output_runs(dirs)
+    if outputs is None:
         return 1
 
     summary = {
@@ -171,7 +192,7 @@ def main(argv=None) -> int:
                        for side in SIDES} for w in workloads},
         "src_lines": {side: _src_lines(dirs[side]) for side in SIDES},
         "src_sha256": {side: _src_sha256(dirs[side]) for side in SIDES},
-        "all_outputs": all_outputs,
+        **outputs,
     }
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
@@ -182,8 +203,9 @@ def main(argv=None) -> int:
                   f"({row['median_change']:+.1%}), change better in {row['wins']}/{row['pairs']}")
     print("src lines: " + " -> ".join(str(summary["src_lines"][side]["total"])
                                       for side in SIDES))
-    identical = sum(verdict == "byte-identical" for verdict in all_outputs.values())
-    print(f"all outputs: {identical}/{len(all_outputs)} byte-identical")
+    for key, verdicts in outputs.items():
+        identical = sum(verdict == "byte-identical" for verdict in verdicts.values())
+        print(f"{key}: {identical}/{len(verdicts)} byte-identical")
     print(f"wrote {out}")
     return 0
 
@@ -265,20 +287,25 @@ def _time_suite(checkout: Path):
     return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
 
 
-def _all_outputs(dirs: dict):
-    """Run `python -m resonatorsim all` once per side into a fresh directory
-    and compare the two; None when a run fails."""
+def _output_runs(dirs: dict):
+    """Run each of OUTPUT_RUNS once per side, into fresh directories, and
+    compare the two sides' result files; None when a run fails."""
     with tempfile.TemporaryDirectory() as workdir:
-        outdirs = {side: Path(workdir) / side for side in SIDES}
-        for side in SIDES:
-            cmd = [sys.executable, "-m", "resonatorsim", "all", "--outdir", str(outdirs[side])]
-            done = subprocess.run(cmd, cwd=workdir, env=_src_env(dirs[side]),
-                                  capture_output=True, text=True, timeout=600)
-            if done.returncode != 0:
-                print(f"error: {' '.join(cmd)} from {dirs[side]} exited {done.returncode}:\n"
-                      f"{done.stderr[-2000:]}", file=sys.stderr)
-                return None
-        return _output_verdicts(outdirs["parent"], outdirs["change"])
+        (Path(workdir) / "damped.json").write_text(json.dumps(DAMPED_CONFIG), encoding="utf-8")
+        outputs = {}
+        for key, argv in OUTPUT_RUNS.items():
+            outdirs = {side: Path(workdir) / key / side for side in SIDES}
+            for side in SIDES:
+                cmd = [sys.executable, "-m", "resonatorsim",
+                       *(arg.format(out=outdirs[side]) for arg in argv)]
+                done = subprocess.run(cmd, cwd=workdir, env=_src_env(dirs[side]),
+                                      capture_output=True, text=True, timeout=600)
+                if done.returncode != 0:
+                    print(f"error: {' '.join(cmd)} from {dirs[side]} exited "
+                          f"{done.returncode}:\n{done.stderr[-2000:]}", file=sys.stderr)
+                    return None
+            outputs[key] = _output_verdicts(outdirs["parent"], outdirs["change"])
+        return outputs
 
 
 def _output_verdicts(parent: Path, change: Path) -> dict:

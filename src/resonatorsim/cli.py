@@ -12,6 +12,7 @@ failure, 2 bad flags, config or an output path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import inspect
 import json
@@ -298,6 +299,11 @@ def _cmd_sw_verify(args) -> int:
 
 def _cmd_all(args) -> int:
     outdir = Path(args.outdir)
+    # refused once, before any run, rather than by every run's write
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(outdir)) from None
     outputs: list = []
     codes = []
     parser = _build_parser()

@@ -11,11 +11,13 @@ step exp(A): _expm (Pade scaling and squaring in numpy), which the Lindblad
 route applies over one grid spacing to each distinct Liouvillian of the
 batch, assembled on the entries reachable from the initial support and
 written in real coordinates of a Hermitian rho, so that the matrix it
-exponentiates is real.  The reduced amplitudes are a unitary problem in a
-rotated frame.  All routes treat the initial state as the state at
-grid.t_start.  Trace (Lindblad) and norm (amplitudes) are conserved
-exactly by these generators, so each trajectory is checked for them
-afterwards.
+exponentiates is real; the layout of those entries (_live_layout) and the
+generator on it (_real_generator) are separate steps, so the damped Werner
+sweep builds its layout once per process.  The reduced amplitudes are a
+unitary problem in a rotated frame.  All routes treat the initial state as
+the state at grid.t_start.  Trace (Lindblad) and norm (amplitudes) are
+conserved exactly by these generators, so each trajectory is checked for
+them afterwards.
 """
 
 from __future__ import annotations
@@ -207,6 +209,8 @@ def evolve_lindblad_batch(
     only the rows of the upper live entries are assembled, and the matrix
     exponentiated is real, of the same size as the live set.  The states
     returned are Herm(e^{Lt} rho0) = e^{Lt} Herm(rho0), Hermitian exactly.
+    _live_layout closes the live set and lays out its coordinates and index
+    tables; _real_generator gathers each distinct generator on them.
 
     Parameters
     ----------
@@ -259,9 +263,79 @@ def evolve_lindblad_batch(
     for b in range(nbatch):
         groups.setdefault(drift[b].tobytes() + rates[:, b].tobytes(), []).append(b)
 
-    # close the support of Herm(rho0) under the generators: each term A rho B^dag
-    # (D rho, rho D^dag, xi rho xi^dag) fills the pattern A @ live @ B^T, and
-    # the union stays symmetric; 0/1 floats make each product one BLAS call
+    layout = _live_layout(drift, ops, rates, rho0)
+    coords0 = layout.coords(rho0)
+    dt = grid.span / (grid.points - 1)
+    out = np.empty((grid.points, nbatch, dim, dim), dtype=complex)
+    for members in groups.values():
+        b = members[0]
+        step_t = _expm(_real_generator(drift[b], rates[:, b], layout) * dt).T
+        # rows are the members' coordinates; row @ step^T = (step @ coords)^T
+        block = np.empty((grid.points, len(members), step_t.shape[0]))
+        block[0] = coords0[members]
+        for k in range(1, grid.points):
+            np.matmul(block[k - 1], step_t, out=block[k])
+        out[:, members] = layout.density(block)
+
+    trace0 = np.einsum("bii->b", rho0).real
+    traces = np.einsum("tbii->tb", out).real
+    _check_conserved("trace", traces, trace0, grid.times)
+    return Trajectory(grid.times, out)
+
+
+@dataclass(frozen=True, eq=False)
+class _LiveLayout:
+    """The live entries of rho and the generator's index tables on them.
+
+    Live entry (i, j) of rho sits at i * d + j of vec(rho).  The real
+    coordinates are x = Re rho on the upper entries (i <= j, flat indices
+    upper) and y = Im rho on the strictly upper ones (upper[strict]), whose
+    mirrors (j, i) are lower.  The generator's rows are the upper entries
+    and its columns every live entry, upper then lower: ip and jq hold the
+    flat indices of the operator entries (i, p) and (j, q) that row (i, j)
+    and column (p, q) pick, same_row and same_col whether i = p and j = q,
+    and jump_blocks[k] the products xi_k[i, p] conj(xi_k)[j, q] there.
+    """
+
+    dim: int
+    upper: np.ndarray
+    strict: np.ndarray
+    lower: np.ndarray
+    ip: np.ndarray
+    jq: np.ndarray
+    same_row: np.ndarray
+    same_col: np.ndarray
+    jump_blocks: np.ndarray
+
+    def coords(self, rho: np.ndarray) -> np.ndarray:
+        """Real coordinates (..., N) of Herm(rho) for rho of shape (..., d, d)."""
+        herm = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+        herm = herm.reshape(herm.shape[:-2] + (-1,))
+        return np.concatenate((herm.real[..., self.upper],
+                               herm.imag[..., self.upper[self.strict]]), axis=-1)
+
+    def density(self, coords: np.ndarray) -> np.ndarray:
+        """The Hermitian (..., d, d) matrices with real coordinates (..., N),
+        zero off the live entries."""
+        n_upper = self.upper.size
+        entries = coords[..., :n_upper] + 0j
+        entries[..., self.strict] += 1j * coords[..., n_upper:]
+        out = np.zeros(coords.shape[:-1] + (self.dim * self.dim,), dtype=complex)
+        out[..., self.upper] = entries
+        out[..., self.lower] = entries[..., self.strict].conj()
+        return out.reshape(coords.shape[:-1] + (self.dim, self.dim))
+
+
+def _live_layout(drift: np.ndarray, ops: np.ndarray, rates: np.ndarray,
+                 rho0: np.ndarray) -> _LiveLayout:
+    """The layout of the entries reachable from the support of Herm(rho0)
+    (B, d, d) under the drifts (B, d, d) and the collapse operators ops
+    (K, d, d) whose rates (K, B) are not all zero; the jump blocks are
+    those of every operator."""
+    # each term A rho B^dag (D rho, rho D^dag, xi rho xi^dag) fills the
+    # pattern A @ live @ B^T, and the union stays symmetric; 0/1 floats make
+    # each product one BLAS call
+    dim = rho0.shape[-1]
     drift_pattern = np.any(drift != 0, axis=0)[None]
     eye = np.eye(dim, dtype=bool)[None]
     jump_patterns = ops[np.any(rates != 0, axis=1)] != 0
@@ -275,53 +349,35 @@ def evolve_lindblad_batch(
             break
         live = grown
 
-    # live entry (i, j) of rho sits at i * d + j of vec(rho); the real
-    # coordinates are x = Re rho on the upper entries (i <= j) and y = Im rho
-    # on the strictly upper ones, whose mirrors (j, i) are the lower entries
     upper = np.flatnonzero(np.triu(live))
     rows, cols = divmod(upper, dim)
     strict = np.flatnonzero(rows < cols)
     lower = cols[strict] * dim + rows[strict]
-    # generator rows of the upper entries, columns of every live entry: flat
-    # indices of the operator entries (i, p) and (j, q) that row (i, j) and
-    # column (p, q) pick
     col_rows, col_cols = divmod(np.concatenate((upper, lower)), dim)
     ip = rows[:, None] * dim + col_rows
     jq = cols[:, None] * dim + col_cols
-    same_row = rows[:, None] == col_rows[None, :]
-    same_col = cols[:, None] == col_cols[None, :]
-    jump_blocks = [op.take(ip) * op.conj().take(jq) for op in ops]
-    herm0 = (0.5 * (rho0 + rho0.conj().swapaxes(-1, -2))).reshape(nbatch, -1)
-    coords0 = np.concatenate((herm0.real[:, upper], herm0.imag[:, upper[strict]]), axis=1)
-    dt = grid.span / (grid.points - 1)
-    out = np.zeros((grid.points, nbatch, dim * dim), dtype=complex)
-    for members in groups.values():
-        b = members[0]
-        gen = drift[b].take(ip) * same_col + drift[b].conj().take(jq) * same_row
-        for rate, jump in zip(rates[:, b], jump_blocks):
-            gen += rate * jump
-        # rho_f = x_f + i y_f on an upper column f and x_f - i y_f on its mirror
-        on_upper, on_lower = gen[:, :upper.size], gen[:, upper.size:]
-        by_x = on_upper.copy()
-        by_x[:, strict] += on_lower
-        by_coords = np.concatenate((by_x, 1j * (on_upper[:, strict] - on_lower)), axis=1)
-        real = np.concatenate((by_coords.real, by_coords.imag[strict]))
-        step_t = _expm(real * dt).T
-        # rows are the members' coordinates; row @ step^T = (step @ coords)^T
-        block = np.empty((grid.points, len(members), real.shape[0]))
-        block[0] = coords0[members]
-        for k in range(1, grid.points):
-            np.matmul(block[k - 1], step_t, out=block[k])
-        entries = block[..., :upper.size] + 0j
-        entries[..., strict] += 1j * block[..., upper.size:]
-        out[:, np.array(members)[:, None], upper] = entries
-        out[:, np.array(members)[:, None], lower] = entries[..., strict].conj()
-    out = out.reshape((grid.points,) + rho0.shape)
+    return _LiveLayout(
+        dim, upper, strict, lower, ip, jq,
+        same_row=rows[:, None] == col_rows[None, :],
+        same_col=cols[:, None] == col_cols[None, :],
+        jump_blocks=np.array([op.take(ip) * op.conj().take(jq) for op in ops]),
+    )
 
-    trace0 = np.einsum("bii->b", rho0).real
-    traces = np.einsum("tbii->tb", out).real
-    _check_conserved("trace", traces, trace0, grid.times)
-    return Trajectory(grid.times, out)
+
+def _real_generator(drift: np.ndarray, rates: np.ndarray, layout: _LiveLayout) -> np.ndarray:
+    """The Liouvillian of one drift D (d, d) and its rates (K,), gathered
+    on the layout's live entries and written in its real coordinates: the
+    real N x N matrix that steps them."""
+    gen = drift.take(layout.ip) * layout.same_col + drift.conj().take(layout.jq) * layout.same_row
+    for rate, jump in zip(rates, layout.jump_blocks):
+        gen += rate * jump
+    # rho_f = x_f + i y_f on an upper column f and x_f - i y_f on its mirror
+    strict = layout.strict
+    on_upper, on_lower = gen[:, :layout.upper.size], gen[:, layout.upper.size:]
+    by_x = on_upper.copy()
+    by_x[:, strict] += on_lower
+    by_coords = np.concatenate((by_x, 1j * (on_upper[:, strict] - on_lower)), axis=1)
+    return np.concatenate((by_coords.real, by_coords.imag[strict]))
 
 
 def evolve_lindblad(h: np.ndarray, collapse, rho0: np.ndarray, grid: TimeGrid) -> Trajectory:

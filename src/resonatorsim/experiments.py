@@ -20,11 +20,14 @@ in vacuum: damped populations and fidelities are exactly exp(-kappa t)
 times the unitary ones.  They take kappa from their own arguments and,
 like optimize_g1 (which runs without decay), refuse a spec with decay
 rates.  Only the Werner sweep (up to three photons, rates per mode from
-the spec) builds a Fock basis; with decay rates it runs the master equation.
+the spec) builds a Fock basis, once per process with the rest of its
+layout (_werner_layout); with decay rates it exponentiates the Liouvillian
+on that layout's live coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -36,10 +39,11 @@ import numpy as np
 
 from . import __version__
 from .analytic import amplitude_grid, find_w_crossings
-from .dynamics import TimeGrid, evolve_lindblad_batch, evolve_unitary
-from .dynamics import _expm, _phase_product, _sqrt_split
-from .fockspace import annihilation, build_basis
-from .hamiltonians import _lift, one_photon_hamiltonian
+from .dynamics import TimeGrid, evolve_unitary
+from .dynamics import _LiveLayout, _check_conserved, _expm, _live_layout, _phase_product
+from .dynamics import _real_generator, _sqrt_split
+from .fockspace import FockBasis, build_basis
+from .hamiltonians import _ladder, _lift, one_photon_hamiltonian
 from .model import SystemSpec, ResonatorSpec, derive_dispersive, spec_to_dict
 from .observables import (
     WernerParams,
@@ -281,13 +285,17 @@ def sweep_werner(
     """Fidelity at the pinned operation time for Werner-type initial states,
     one curve per overlap angle theta (given in units of pi).
 
-    h is the lift of _one_photon_frame, the block the other scenarios use.
+    h is the lift of _one_photon_frame, the block the other scenarios use,
+    on the ladder operators of _werner_layout, built once per process.
     Decay rates are taken from the spec: with none, one step exp(-i h t*)
-    by dynamics._expm advances the density matrices; otherwise the exact
-    Liouvillian propagator does, exponentiating the shared generator once.
-    The initial state p |psi_theta><psi_theta| + (1 - p) M enters linearly,
-    and so does the fidelity: only the pure state of each theta (p = 1) and
-    the mixture M (p = 0) are propagated, and F(p) = p F(1) + (1 - p) F(0).
+    by dynamics._expm advances the density matrices; otherwise one step of
+    the exact Liouvillian does, gathered on the layout's 69 live real
+    coordinates (dynamics._real_generator) and exponentiated once, and the
+    fidelities and traces are read off the stepped coordinates with the
+    layout's weights.  The initial state p |psi_theta><psi_theta| + (1 - p) M
+    enters linearly, and so does the fidelity: only the pure state of each
+    theta (p = 1) and the mixture M (p = 0) are propagated, and
+    F(p) = p F(1) + (1 - p) F(0).
     """
     spec, chi = _homogeneous(spec, 3)
     ps = np.linspace(0.0, 1.0, 11) if p_grid is None else np.asarray(p_grid, float)
@@ -295,27 +303,27 @@ def sweep_werner(
     _require_nonempty(p_grid=ps, thetas_pi=thetas)
     names = _column_names("f_theta_{:g}pi", thetas, "thetas_pi")
 
-    chi_t_star = first_crossing_chi_t(3)
-    t_star = chi_t_star / chi
-    basis = build_basis(4, cutoff=1, excitation_cap=3)
-    target = ideal_target(3, chi_t_star, basis)
-    h = _lift(_one_photon_frame(spec), basis)
+    layout = _werner_layout()
+    t_star = layout.chi_t_star / chi
+    h = _lift(_one_photon_frame(spec), layout.ops)
     for p in ps:  # WernerParams holds the rule on a mixture weight
         WernerParams(float(p), 0.0)
-    # the pure state of each theta (p = 1), then the mixture (p = 0)
-    rho0 = np.stack(
-        [werner_initial(WernerParams(1.0, np.pi * th), basis) for th in thetas]
-        + [werner_initial(WernerParams(0.0, 0.0), basis)]
-    )
-    kappas = _mode_rates(spec)
+    pure = np.stack([werner_initial(WernerParams(1.0, np.pi * th), layout.basis)
+                     for th in thetas])
+    kappas = np.array(_mode_rates(spec))
     if any(kappas):
-        ops = [(kappa, annihilation(basis, m)) for m, kappa in enumerate(kappas)]
-        traj = evolve_lindblad_batch(h, ops, rho0, TimeGrid(0.0, t_star, 2))
-        final = traj.states[-1]
+        drift = -1j * h - 0.5 * np.einsum("k,kij->ij", kappas, layout.numbers)
+        step = _expm(_real_generator(drift, kappas, layout.live) * t_star)
+        # the pure state of each theta (p = 1), then the mixture (p = 0)
+        coords = np.concatenate((layout.live.coords(pure), layout.mixture_coords[None]))
+        final = coords @ step.T
+        traces = np.stack((coords, final)) @ layout.trace_weights
+        _check_conserved("trace", traces, traces[0], (0.0, t_star))
+        fid = final @ layout.fidelity_weights
     else:
         u = _expm(-1j * t_star * h)
-        final = u @ rho0 @ u.conj().T
-    fid = fidelity_dm(final, target)
+        final = u @ np.concatenate((pure, layout.mixture[None])) @ u.conj().T
+        fid = fidelity_dm(final, layout.target)
     fid = fid[:-1, None] * ps + fid[-1] * (1.0 - ps)
 
     columns: dict = {"p": ps}
@@ -323,9 +331,60 @@ def sweep_werner(
         columns[name] = row
     meta = _base_metadata("werner_sweep", spec, chi)
     meta["thetas_pi"] = thetas
-    meta["chi_t_star_over_pi"] = chi_t_star / np.pi
+    meta["chi_t_star_over_pi"] = layout.chi_t_star / np.pi
     meta["operation_time_us"] = t_star
     return ScenarioResult(meta["name"], columns, meta)
+
+
+@dataclass(frozen=True, eq=False)
+class _WernerLayout:
+    """What sweep_werner needs that no spec changes: the 15-state basis
+    (bus and three resonators, up to three photons), its ladder operators
+    ops and their number operators ops^dag ops, the live layout of the
+    diagonal photon-number blocks and the mixture M in its coordinates,
+    the first equal-population phase chi t*, the target there, and the
+    weights that read <target|rho|target> and tr rho off the coordinates."""
+
+    basis: FockBasis
+    ops: np.ndarray
+    numbers: np.ndarray
+    live: _LiveLayout
+    mixture: np.ndarray
+    mixture_coords: np.ndarray
+    chi_t_star: float
+    target: np.ndarray
+    fidelity_weights: np.ndarray
+    trace_weights: np.ndarray
+
+
+@functools.cache
+def _werner_layout() -> _WernerLayout:
+    """The Werner sweep's layout, built once per process; its arrays are
+    read-only, since every call shares them.
+
+    Every Hamiltonian the sweep lifts conserves the photon number and decay
+    only lowers it, so the entries reachable from the Werner states, under
+    every hop a_k^dag a_l and every decay, are the diagonal photon-number
+    blocks of sectors 0..3 (1 + 16 + 36 + 16 = 69 of 225), for any spec."""
+    basis = build_basis(4, cutoff=1, excitation_cap=3)
+    ops = _ladder(basis)
+    mixture = werner_initial(WernerParams(0.0, 0.0), basis)
+    # a pure state with both amplitudes nonzero has the support of every theta
+    rho0 = np.stack((mixture, werner_initial(WernerParams(1.0, 0.25 * np.pi), basis)))
+    every_hop = _lift(np.ones((basis.modes, basis.modes)), ops)
+    live = _live_layout(every_hop[None], ops, np.ones((basis.modes, 1)), rho0)
+    chi_t_star = first_crossing_chi_t(3)
+    target = ideal_target(3, chi_t_star, basis)
+    # the density matrix of each unit coordinate, then what each reads
+    units = live.density(np.eye(live.upper.size + live.strict.size))
+    layout = _WernerLayout(
+        basis, ops, ops.conj().swapaxes(1, 2) @ ops, live, mixture, live.coords(mixture),
+        chi_t_star, target, fidelity_dm(units, target), np.einsum("kii->k", units).real,
+    )
+    for value in (*vars(layout).values(), *vars(live).values()):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return layout
 
 
 def optimize_g1(
@@ -566,7 +625,13 @@ def _write_atomic(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            if exc.filename != tmp:
+                raise
+            # name the path given, not the temporary file deleted below
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -43,7 +43,7 @@ def build_full(spec: SystemSpec, basis: FockBasis) -> HamiltonianSet:
     The basis must have spec.n + 1 modes, mode 0 being the bus.  The direct
     coupling G_M acts on the open nearest-neighbour chain R1-R2-...-Rn.
     """
-    h0, h_int, h_gm = _lift(np.stack(_parts(spec)), basis)
+    h0, h_int, h_gm = _lift(np.stack(_parts(spec)), _ladder(basis))
     return HamiltonianSet(h0 + h_int + h_gm, h0, h_int, h_gm)
 
 
@@ -69,7 +69,7 @@ def build_sw_generator(spec: SystemSpec, basis: FockBasis) -> np.ndarray:
     Defined so that [S, h0] = -h_int, cancelling the bus coupling to first
     order; requires every detuning nonzero.
     """
-    return _lift(_sw_block(spec), basis)
+    return _lift(_sw_block(spec), _ladder(basis))
 
 
 def shift_frame(h: np.ndarray, basis: FockBasis, omega_ref: float) -> np.ndarray:
@@ -164,18 +164,23 @@ def _sw_block(spec: SystemSpec) -> np.ndarray:
     return s
 
 
-def _lift(block: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """sum_kl block[..., k, l] a_k^dag a_l on a Fock basis with one mode per
-    row of the block: the bilinear operator whose one-photon block is
-    `block`.  A stack of blocks lifts to a stack, sharing the ladder
-    operators."""
+def _ladder(basis: FockBasis) -> np.ndarray:
+    """The lowering operators of every mode of the basis, stacked in mode
+    order (bus first): the ladder operators _lift takes."""
+    return np.array([annihilation(basis, k) for k in range(basis.modes)])
+
+
+def _lift(block: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_kl block[..., k, l] a_k^dag a_l with a_k = ops[k], the lowering
+    operators of a Fock basis with one mode per row of the block (_ladder):
+    the bilinear operator whose one-photon block is `block`.  A stack of
+    blocks lifts to a stack, sharing the ladder operators."""
     modes = block.shape[-1]
-    if basis.modes != modes:
+    if len(ops) != modes:
         raise ValueError(
-            f"basis has {basis.modes} modes but spec needs {modes} (bus + {modes - 1})"
+            f"basis has {len(ops)} modes but spec needs {modes} (bus + {modes - 1})"
         )
-    ops = [annihilation(basis, k) for k in range(modes)]
-    out = np.zeros(block.shape[:-2] + (basis.dim, basis.dim), dtype=complex)
+    out = np.zeros(block.shape[:-2] + ops.shape[1:], dtype=complex)
     for k, l in zip(*np.nonzero(block.reshape(-1, modes, modes).any(axis=0))):
         out = out + block[..., k, l, None, None] * (ops[k].conj().T @ ops[l])
     return out

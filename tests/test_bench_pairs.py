@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from resonatorsim.model import spec_from_dict
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 
@@ -116,3 +118,20 @@ def test_output_verdicts_name_each_result_file(tmp_path):
         "p.csv": "largest absolute difference 3e-07",
         "p.meta.json": "byte-identical",
     }
+
+
+def test_output_runs_compare_a_damped_werner_sweep(monkeypatch):
+    # both sides are this checkout, so every result file is byte-identical;
+    # the Werner sweep runs from a config that decays every mode at its own
+    # rate, which no default run of `all` does (`all`, whose verdicts
+    # test_output_verdicts_name_each_result_file covers, is left out here)
+    bench_pairs = _load_script()
+    assert bench_pairs.OUTPUT_RUNS["all_outputs"] == ["all", "--outdir", "{out}"]
+    spec = spec_from_dict(bench_pairs.DAMPED_CONFIG)
+    assert [spec.bus_kappa_mhz] + [r.kappa_mhz for r in spec.resonators] == [0.3, 0.1, 0.5, 0.8]
+    damped = {"damped_werner_outputs": bench_pairs.OUTPUT_RUNS["damped_werner_outputs"]}
+    monkeypatch.setattr(bench_pairs, "OUTPUT_RUNS", damped)
+    repo = SCRIPT.parents[1]
+    assert bench_pairs._output_runs({"parent": repo, "change": repo}) == {
+        "damped_werner_outputs": {"werner_sweep.csv": "byte-identical",
+                                  "werner_sweep.meta.json": "byte-identical"}}

@@ -22,7 +22,6 @@ from resonatorsim import (
     build_full,
     derive_dispersive,
     evolve_lindblad,
-    evolve_lindblad_batch,
     evolve_unitary,
     fidelity_dm,
     first_crossing_chi_t,
@@ -209,9 +208,10 @@ def test_single_photon_scenarios_build_no_fock_basis(monkeypatch):
     sweep_gm(ratios=(math.inf, 10.0))
     sweep_fidelity_map_g2(g2_ratios=[0.8, 1.0])
     optimize_g1(5)
-    # the Werner sweep keeps its Fock basis, so the patch is live
+    # the Werner sweep keeps its Fock basis, built with its layout (cached
+    # per process, so the uncached builder shows that the patch is live)
     with pytest.raises(AssertionError, match="Fock basis"):
-        sweep_werner(p_grid=[0.5])
+        experiments._werner_layout.__wrapped__()
 
 
 @pytest.mark.parametrize(
@@ -345,8 +345,8 @@ def test_werner_hamiltonian_is_the_lifted_frame_block(monkeypatch, spec):
     # 4.6e-15 of the largest entry apart on this detuned spec
     lifted = []
 
-    def recording_lift(block, basis):
-        lifted.append(hamiltonians._lift(block, basis))
+    def recording_lift(block, ops):
+        lifted.append(hamiltonians._lift(block, ops))
         return lifted[-1]
 
     monkeypatch.setattr(experiments, "_lift", recording_lift)
@@ -360,24 +360,20 @@ def test_werner_hamiltonian_is_the_lifted_frame_block(monkeypatch, spec):
         np.testing.assert_array_equal(h, reference)
 
 
-def test_damped_werner_sweep_propagates_one_state_per_theta_and_the_mixture(monkeypatch):
-    # the fidelity is linear in p: the pure state of each theta and the one
-    # maximally mixed state are propagated, whatever the length of the p grid
-    batches = []
+def test_damped_werner_sweep_exponentiates_the_layout_once(monkeypatch):
+    # the fidelity is linear in p: one exponential of the 69-coordinate
+    # generator steps the pure state of each theta and the one maximally
+    # mixed state, whatever the length of the p grid
+    shapes = []
 
-    def recording_batch(h, collapse, rho0, grid):
-        batches.append(rho0)
-        return evolve_lindblad_batch(h, collapse, rho0, grid)
+    def recording_expm(a):
+        shapes.append((a.shape, a.dtype))
+        return _expm(a)
 
-    monkeypatch.setattr(experiments, "evolve_lindblad_batch", recording_batch)
-    thetas = (0.0, 0.1, 0.25, 0.5)
+    monkeypatch.setattr(experiments, "_expm", recording_expm)
     sweep_werner(reference_spec(3, kappa_mhz=0.5), p_grid=np.linspace(0.0, 1.0, 7),
-                 thetas_pi=thetas)
-    (rho0,) = batches
-    basis = build_basis(4, cutoff=1, excitation_cap=3)
-    expected = [werner_initial(WernerParams(1.0, np.pi * th), basis) for th in thetas]
-    expected.append(werner_initial(WernerParams(0.0, 0.0), basis))
-    np.testing.assert_array_equal(rho0, expected)
+                 thetas_pi=(0.0, 0.1, 0.25, 0.5))
+    assert shapes == [((69, 69), np.float64)]
     # no state is built at the grid's weights, and each is still checked
     for bad in (1.5, -0.1, np.nan):
         with pytest.raises(ValueError, match="mixture weight p must be in"):
@@ -404,26 +400,61 @@ def test_werner_routes_agree():
     assert res.columns["f_theta_0.25pi"][0] == pytest.approx(f_me, abs=1.0e-12)
 
 
-def test_damped_werner_sweep_matches_full_liouvillian():
-    # per-mode rates from the spec; the reference exponentiates the whole
-    # d^2 x d^2 generator, assembled from Kronecker products on the 15-state
-    # basis, with scipy and applies it to each row-major vec(rho0)
-    rates = (0.3, 0.1, 0.5, 0.8)  # bus first
-    spec = SystemSpec(6.75, rates[0], tuple(ResonatorSpec(5.75, 50.0, k) for k in rates[1:]))
-    res = sweep_werner(spec)
+def _kron_werner_columns(spec, ps, thetas):
+    """The damped Werner fidelities from the whole d^2 x d^2 generator,
+    assembled from Kronecker products on the 15-state basis, exponentiated
+    with scipy and applied to each row-major vec(rho0), by column name."""
     chi_t_star = first_crossing_chi_t(3)
     t_star = chi_t_star / derive_dispersive(spec).chi_homogeneous
     basis = build_basis(4, cutoff=1, excitation_cap=3)
     h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    rates = [spec.bus_kappa_mhz] + [r.kappa_mhz for r in spec.resonators]
     ops = [(kappa, annihilation(basis, m)) for m, kappa in enumerate(rates)]
     step = scipy.linalg.expm(kron_generator(h, ops) * t_star)
     target = ideal_target(3, chi_t_star, basis)
-    for theta in (0.0, 0.25, 0.5):
+    columns = {}
+    for theta in thetas:
         rho = [step @ werner_initial(WernerParams(p, np.pi * theta), basis).reshape(-1)
-               for p in res.columns["p"]]
-        expected = fidelity_dm(np.reshape(rho, (-1, basis.dim, basis.dim)), target)
-        np.testing.assert_allclose(res.columns[f"f_theta_{theta:g}pi"], expected,
-                                   rtol=0, atol=1.0e-12)
+               for p in ps]
+        columns[f"f_theta_{theta:g}pi"] = fidelity_dm(
+            np.reshape(rho, (-1, basis.dim, basis.dim)), target)
+    return columns
+
+
+def test_damped_werner_sweep_matches_full_liouvillian():
+    # per-mode rates from the spec, checked against the Kronecker reference
+    rates = (0.3, 0.1, 0.5, 0.8)  # bus first
+    spec = SystemSpec(6.75, rates[0], tuple(ResonatorSpec(5.75, 50.0, k) for k in rates[1:]))
+    res = sweep_werner(spec)
+    expected = _kron_werner_columns(spec, res.columns["p"], (0.0, 0.25, 0.5))
+    for name, column in expected.items():
+        np.testing.assert_allclose(res.columns[name], column, rtol=0, atol=1.0e-12)
+
+
+def test_damped_werner_sweeps_share_one_read_only_layout():
+    # two sweeps in one process, with other rates, angles and weights and one
+    # with a direct coupling, step their coordinates on one layout, built once
+    cases = [
+        (SystemSpec(6.75, 0.3, tuple(ResonatorSpec(5.75, 50.0, k) for k in (0.1, 0.5, 0.8)),
+                    gm_mhz=0.5), [0.0, 0.35, 1.0], (0.1, 0.4)),
+        (SystemSpec(6.75, 0.0, tuple(ResonatorSpec(5.75, 50.0, k) for k in (0.7, 0.0, 0.2))),
+         [0.6, 0.9], (0.0, 0.3, 0.5)),
+    ]
+    for spec, ps, thetas in cases:
+        res = sweep_werner(spec, p_grid=ps, thetas_pi=thetas)
+        for name, column in _kron_werner_columns(spec, ps, thetas).items():
+            np.testing.assert_allclose(res.columns[name], column, rtol=0, atol=1.0e-12)
+    info = experiments._werner_layout.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    layout = experiments._werner_layout()
+    assert layout.mixture_coords.shape == (69,)
+    arrays = [v for v in (*vars(layout).values(), *vars(layout.live).values())
+              if isinstance(v, np.ndarray)]
+    assert len(arrays) == 15 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        layout.live.jump_blocks[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        layout.fidelity_weights[0] += 1.0
 
 
 def test_optimizer_invariants():
