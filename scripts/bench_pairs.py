@@ -7,12 +7,15 @@ For every workload and seed it runs `bench/run.py --trace 0` once in each
 checkout, for the `run_seconds` of BENCHMARK.json, alternating which side
 goes first from one pair to the next, and reads the end-to-end metrics
 from the last line of its output.  Then, once per seed and in the same
-alternating order, it times two commands on each side, each run as
-`python -m resonatorsim` from a fresh working directory: `all` and the
-`crossings --n 3` cold start.  With each wall time it keeps the command's
-minor page faults, the RUSAGE_CHILDREN ru_minflt delta across the run
-(`all_minflt`, `crossings_n3_minflt`): a count of the fresh pages the
-process took, nearly the same from run to run where wall time is noisy.
+alternating order, it times three commands on each side, each run as
+`python -m resonatorsim` from a fresh working directory that holds the
+config DAMPED_CONFIG as damped.json: `all`, the `crossings --n 3` cold
+start and the cold start of one damped `werner --config damped.json`,
+which pays the damped Werner sweep's once-per-process set-up.  With each
+wall time it keeps the command's minor page faults, the RUSAGE_CHILDREN
+ru_minflt delta across the run (`all_minflt`, `crossings_n3_minflt`,
+`werner_damped_minflt`): a count of the fresh pages the process took,
+nearly the same from run to run where wall time is noisy.
 In the same loop it times the tier-1 suite once per side, `python -m
 pytest -q` in the checkout with its src/ on PYTHONPATH, and records its
 passed and failed counts under "suite"; pytest's exit code 1 (some tests
@@ -77,10 +80,12 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 
-#: CLI commands timed end to end, by the name of their wall-time entry
+#: CLI commands timed end to end, by the name of their wall-time entry;
+#: each runs beside DAMPED_CONFIG, written to damped.json
 CLI_COMMANDS = {
     "all_s": ["all", "--outdir", "results"],
     "crossings_n3_s": ["crossings", "--n", "3"],
+    "werner_damped_s": ["werner", "--config", "damped.json", "--out", "werner_sweep.csv"],
 }
 
 #: the tier-1 suite, run in the checkout with its src/ on PYTHONPATH
@@ -251,10 +256,12 @@ def _minflt_key(name: str) -> str:
 
 def _time_cli(checkout: Path, argv: list[str]):
     """Wall seconds and minor page faults of `python -m resonatorsim ARGV`
-    run from the checkout's src/ in a fresh directory, or None when it fails."""
+    run from the checkout's src/ in a fresh directory holding DAMPED_CONFIG
+    as damped.json, or None when it fails."""
     env = _src_env(checkout)
     cmd = [sys.executable, "-m", "resonatorsim", *argv]
     with tempfile.TemporaryDirectory() as workdir:
+        _write_damped_config(Path(workdir))
         faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
         start = time.perf_counter()
         done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True,
@@ -291,7 +298,7 @@ def _output_runs(dirs: dict):
     """Run each of OUTPUT_RUNS once per side, into fresh directories, and
     compare the two sides' result files; None when a run fails."""
     with tempfile.TemporaryDirectory() as workdir:
-        (Path(workdir) / "damped.json").write_text(json.dumps(DAMPED_CONFIG), encoding="utf-8")
+        _write_damped_config(Path(workdir))
         outputs = {}
         for key, argv in OUTPUT_RUNS.items():
             outdirs = {side: Path(workdir) / key / side for side in SIDES}
@@ -306,6 +313,10 @@ def _output_runs(dirs: dict):
                     return None
             outputs[key] = _output_verdicts(outdirs["parent"], outdirs["change"])
         return outputs
+
+
+def _write_damped_config(workdir: Path) -> None:
+    (workdir / "damped.json").write_text(json.dumps(DAMPED_CONFIG), encoding="utf-8")
 
 
 def _output_verdicts(parent: Path, change: Path) -> dict:

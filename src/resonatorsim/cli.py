@@ -12,7 +12,6 @@ failure, 2 bad flags, config or an output path that cannot be written.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import inspect
 import json
@@ -29,6 +28,7 @@ from .experiments import (
     DEFAULT_CHI_T_MAX_OVER_PI,
     DEFAULT_POINTS,
     ScenarioResult,
+    _make_dirs,
     optimize_g1,
     optimize_to_scenario,
     reference_spec,
@@ -300,10 +300,7 @@ def _cmd_sw_verify(args) -> int:
 def _cmd_all(args) -> int:
     outdir = Path(args.outdir)
     # refused once, before any run, rather than by every run's write
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except FileExistsError:
-        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(outdir)) from None
+    _make_dirs(outdir)
     outputs: list = []
     codes = []
     parser = _build_parser()

@@ -12,12 +12,13 @@ route applies over one grid spacing to each distinct Liouvillian of the
 batch, assembled on the entries reachable from the initial support and
 written in real coordinates of a Hermitian rho, so that the matrix it
 exponentiates is real; the layout of those entries (_live_layout) and the
-generator on it (_real_generator) are separate steps, so the damped Werner
-sweep builds its layout once per process.  The reduced amplitudes are a
-unitary problem in a rotated frame.  All routes treat the initial state as
-the state at grid.t_start.  Trace (Lindblad) and norm (amplitudes) are
-conserved exactly by these generators, so each trajectory is checked for
-them afterwards.
+generator on it (_real_generator, the sum of the nonzero terms that
+_real_terms lists for a stack of drifts) are separate steps, so the damped
+Werner sweep builds its layout and its generator terms once per process.
+The reduced amplitudes are a unitary problem in a rotated frame.  All
+routes treat the initial state as the state at grid.t_start.  Trace
+(Lindblad) and norm (amplitudes) are conserved exactly by these
+generators, so each trajectory is checked for them afterwards.
 """
 
 from __future__ import annotations
@@ -307,6 +308,11 @@ class _LiveLayout:
     same_col: np.ndarray
     jump_blocks: np.ndarray
 
+    @property
+    def size(self) -> int:
+        """N, the number of real coordinates."""
+        return self.upper.size + self.strict.size
+
     def coords(self, rho: np.ndarray) -> np.ndarray:
         """Real coordinates (..., N) of Herm(rho) for rho of shape (..., d, d)."""
         herm = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
@@ -356,28 +362,60 @@ def _live_layout(drift: np.ndarray, ops: np.ndarray, rates: np.ndarray,
     col_rows, col_cols = divmod(np.concatenate((upper, lower)), dim)
     ip = rows[:, None] * dim + col_rows
     jq = cols[:, None] * dim + col_cols
+    flat_ops = ops.reshape(len(ops), dim * dim)
     return _LiveLayout(
         dim, upper, strict, lower, ip, jq,
         same_row=rows[:, None] == col_rows[None, :],
         same_col=cols[:, None] == col_cols[None, :],
-        jump_blocks=np.array([op.take(ip) * op.conj().take(jq) for op in ops]),
+        jump_blocks=flat_ops[:, ip] * flat_ops.conj()[:, jq],
     )
 
 
 def _real_generator(drift: np.ndarray, rates: np.ndarray, layout: _LiveLayout) -> np.ndarray:
     """The Liouvillian of one drift D (d, d) and its rates (K,), gathered
     on the layout's live entries and written in its real coordinates: the
-    real N x N matrix that steps them."""
-    gen = drift.take(layout.ip) * layout.same_col + drift.conj().take(layout.jq) * layout.same_row
-    for rate, jump in zip(rates, layout.jump_blocks):
-        gen += rate * jump
-    # rho_f = x_f + i y_f on an upper column f and x_f - i y_f on its mirror
-    strict = layout.strict
-    on_upper, on_lower = gen[:, :layout.upper.size], gen[:, layout.upper.size:]
-    by_x = on_upper.copy()
-    by_x[:, strict] += on_lower
-    by_coords = np.concatenate((by_x, 1j * (on_upper[:, strict] - on_lower)), axis=1)
-    return np.concatenate((by_coords.real, by_coords.imag[strict]))
+    real N x N matrix that steps them (the sum of _real_terms)."""
+    _, where, values = _real_terms(drift[None], rates[None], layout)
+    return np.bincount(where, values, minlength=layout.size ** 2).reshape(layout.size, -1)
+
+
+def _real_terms(drift: np.ndarray, rates: np.ndarray,
+                layout: _LiveLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero terms of the real generators of a stack of drifts D
+    (S, d, d) with their rates (S, K), gathered on the layout's live
+    entries: arrays (stack, where, values), each term adding values[t] to
+    the flat entry where[t] of the N x N generator of drift stack[t].
+    Terms with the same stack index and entry add up."""
+    # the complex generator at row (i, j) and column (p, q) sums D[i, p]
+    # where j = q, conj(D[j, q]) where i = p and kappa_k xi_k[i, p]
+    # conj(xi_k)[j, q]; only the pairs where some term can be nonzero
+    left, right = np.nonzero(layout.same_col), np.nonzero(layout.same_row)
+    jump, *by_jump = np.nonzero(layout.jump_blocks)
+    flat = drift.reshape(len(drift), -1)
+    terms = np.concatenate((flat[:, layout.ip[left]], flat[:, layout.jq[right]].conj(),
+                            rates[:, jump] * layout.jump_blocks[(jump, *by_jump)]), axis=1)
+    stack, k = np.nonzero(terms)
+    terms = terms[stack, k]
+    rows = np.concatenate((left[0], right[0], by_jump[0]))[k]
+    cols = np.concatenate((left[1], right[1], by_jump[1]))[k]
+    # rho_f = x_f + i y_f on an upper column f and x_f - i y_f on its
+    # mirror: a term g there adds g to x_f's column and i g or -i g to
+    # y_f's; row (i, j) is the real part of each, the y row of a strict
+    # (i, j) the imaginary part
+    n_upper, n_strict, size = layout.upper.size, layout.strict.size, layout.size
+    y_index = n_upper + np.arange(n_strict)
+    x_col = np.concatenate((np.arange(n_upper), layout.strict))
+    y_col = np.full(size, -1)
+    y_col[layout.strict] = y_col[n_upper:] = y_index
+    y_row = np.full(n_upper, -1)
+    y_row[layout.strict] = y_index
+    by_col = np.concatenate((terms, np.where(cols < n_upper, 1j, -1j) * terms))
+    col = np.tile(np.concatenate((x_col[cols], y_col[cols])), 2)
+    row = np.concatenate((np.tile(rows, 2), np.tile(y_row[rows], 2)))
+    values = np.concatenate((by_col.real, by_col.imag))
+    keep = (row >= 0) & (col >= 0) & (values != 0)
+    where = row * size + col
+    return np.tile(stack, 4)[keep], where[keep], values[keep]
 
 
 def evolve_lindblad(h: np.ndarray, collapse, rho0: np.ndarray, grid: TimeGrid) -> Trajectory:

@@ -20,13 +20,15 @@ in vacuum: damped populations and fidelities are exactly exp(-kappa t)
 times the unitary ones.  They take kappa from their own arguments and,
 like optimize_g1 (which runs without decay), refuse a spec with decay
 rates.  Only the Werner sweep (up to three photons, rates per mode from
-the spec) builds a Fock basis, once per process with the rest of its
-layout (_werner_layout); with decay rates it exponentiates the Liouvillian
-on that layout's live coordinates.
+the spec) builds a Fock basis, once per process (_werner_basis); with
+decay rates it exponentiates the Liouvillian on the live coordinates of
+the photon-number blocks, contracted from generator terms that are built
+once per process too (_damped_werner) with the block and the rates.
 """
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
@@ -40,9 +42,9 @@ import numpy as np
 from . import __version__
 from .analytic import amplitude_grid, find_w_crossings
 from .dynamics import TimeGrid, evolve_unitary
-from .dynamics import _LiveLayout, _check_conserved, _expm, _live_layout, _phase_product
-from .dynamics import _real_generator, _sqrt_split
-from .fockspace import FockBasis, build_basis
+from .dynamics import _check_conserved, _expm, _live_layout, _phase_product
+from .dynamics import _real_terms, _sqrt_split
+from .fockspace import FockBasis, build_basis, single_photon_index
 from .hamiltonians import _ladder, _lift, one_photon_hamiltonian
 from .model import SystemSpec, ResonatorSpec, derive_dispersive, spec_to_dict
 from .observables import (
@@ -158,7 +160,7 @@ def scenario_population(
     for j in range(n):
         columns[f"p_abinitio_{j + 1}"] = p_abinitio[:, j]
     if with_kappa_mhz is not None:
-        envelope = np.exp(-with_kappa_mhz * grid.times)
+        envelope = np.exp(-with_kappa_mhz * traj.times)
         for j in range(n):
             columns[f"p_damped_{j + 1}"] = envelope * p_abinitio[:, j]
 
@@ -192,7 +194,7 @@ def sweep_fidelity_vs_time(
 
     columns: dict = {"chi_t_over_pi": x}
     for name, k in zip(names, kappas):
-        columns[name] = np.exp(-k * grid.times) * fid
+        columns[name] = np.exp(-k * traj.times) * fid
     meta = _base_metadata(f"fidelity_vs_time_n{n}", spec, chi)
     meta["grid"] = {"chi_t_max_over_pi": chi_t_max_over_pi, "points": points}
     meta["kappas_mhz"] = kappas
@@ -285,17 +287,19 @@ def sweep_werner(
     """Fidelity at the pinned operation time for Werner-type initial states,
     one curve per overlap angle theta (given in units of pi).
 
-    h is the lift of _one_photon_frame, the block the other scenarios use,
-    on the ladder operators of _werner_layout, built once per process.
-    Decay rates are taken from the spec: with none, one step exp(-i h t*)
-    by dynamics._expm advances the density matrices; otherwise one step of
-    the exact Liouvillian does, gathered on the layout's 69 live real
-    coordinates (dynamics._real_generator) and exponentiated once, and the
-    fidelities and traces are read off the stepped coordinates with the
-    layout's weights.  The initial state p |psi_theta><psi_theta| + (1 - p) M
-    enters linearly, and so does the fidelity: only the pure state of each
-    theta (p = 1) and the mixture M (p = 0) are propagated, and
-    F(p) = p F(1) + (1 - p) F(0).
+    The block B is _one_photon_frame, the one the other scenarios use.
+    Decay rates are taken from the spec.  With none, one step exp(-i h t*)
+    by dynamics._expm advances the density matrices, h the lift of B on
+    the ladder operators of _werner_basis.  Otherwise one step of the exact
+    Liouvillian does, on the 69 live real coordinates of _damped_werner:
+    its terms, built once per process, contract with the 20 real numbers
+    of B and the rates into the generator, which is exponentiated once;
+    the pure states enter as three fixed coordinate vectors weighted by
+    cos^2, sin^2 and cos sin of theta, and the fidelities and traces are
+    read off the stepped coordinates with its weights.  The initial state
+    p |psi_theta><psi_theta| + (1 - p) M enters linearly, and so does the
+    fidelity: only the pure state of each theta (p = 1) and the mixture M
+    (p = 0) are propagated, and F(p) = p F(1) + (1 - p) F(0).
     """
     spec, chi = _homogeneous(spec, 3)
     ps = np.linspace(0.0, 1.0, 11) if p_grid is None else np.asarray(p_grid, float)
@@ -303,27 +307,31 @@ def sweep_werner(
     _require_nonempty(p_grid=ps, thetas_pi=thetas)
     names = _column_names("f_theta_{:g}pi", thetas, "thetas_pi")
 
-    layout = _werner_layout()
-    t_star = layout.chi_t_star / chi
-    h = _lift(_one_photon_frame(spec), layout.ops)
+    base = _werner_basis()
+    t_star = base.chi_t_star / chi
+    block = _one_photon_frame(spec)
     for p in ps:  # WernerParams holds the rule on a mixture weight
         WernerParams(float(p), 0.0)
-    pure = np.stack([werner_initial(WernerParams(1.0, np.pi * th), layout.basis)
-                     for th in thetas])
+    pure_states = [WernerParams(1.0, np.pi * th) for th in thetas]
     kappas = np.array(_mode_rates(spec))
     if any(kappas):
-        drift = -1j * h - 0.5 * np.einsum("k,kij->ij", kappas, layout.numbers)
-        step = _expm(_real_generator(drift, kappas, layout.live) * t_star)
+        damped = _damped_werner()
+        step = _expm(damped.generator(block, kappas) * t_star)
         # the pure state of each theta (p = 1), then the mixture (p = 0)
-        coords = np.concatenate((layout.live.coords(pure), layout.mixture_coords[None]))
+        angles = np.array([state.theta for state in pure_states])
+        cos, sin = np.cos(angles), np.sin(angles)
+        pure = np.stack((cos * cos, sin * sin, cos * sin), axis=1) @ damped.pure_parts
+        coords = np.concatenate((pure, damped.mixture[None]))
         final = coords @ step.T
-        traces = np.stack((coords, final)) @ layout.trace_weights
+        traces = np.stack((coords, final)) @ damped.trace_weights
         _check_conserved("trace", traces, traces[0], (0.0, t_star))
-        fid = final @ layout.fidelity_weights
+        fid = final @ damped.fidelity_weights
     else:
+        h = _lift(block, base.ops)
+        pure = np.stack([werner_initial(state, base.basis) for state in pure_states])
         u = _expm(-1j * t_star * h)
-        final = u @ np.concatenate((pure, layout.mixture[None])) @ u.conj().T
-        fid = fidelity_dm(final, layout.target)
+        final = u @ np.concatenate((pure, base.mixture[None])) @ u.conj().T
+        fid = fidelity_dm(final, base.target)
     fid = fid[:-1, None] * ps + fid[-1] * (1.0 - ps)
 
     columns: dict = {"p": ps}
@@ -331,60 +339,127 @@ def sweep_werner(
         columns[name] = row
     meta = _base_metadata("werner_sweep", spec, chi)
     meta["thetas_pi"] = thetas
-    meta["chi_t_star_over_pi"] = layout.chi_t_star / np.pi
+    meta["chi_t_star_over_pi"] = base.chi_t_star / np.pi
     meta["operation_time_us"] = t_star
     return ScenarioResult(meta["name"], columns, meta)
 
 
 @dataclass(frozen=True, eq=False)
-class _WernerLayout:
-    """What sweep_werner needs that no spec changes: the 15-state basis
+class _WernerBasis:
+    """What every Werner sweep needs and no spec changes: the 15-state basis
     (bus and three resonators, up to three photons), its ladder operators
-    ops and their number operators ops^dag ops, the live layout of the
-    diagonal photon-number blocks and the mixture M in its coordinates,
-    the first equal-population phase chi t*, the target there, and the
-    weights that read <target|rho|target> and tr rho off the coordinates."""
+    ops, the mixture M, the first equal-population phase chi t* and the
+    target there."""
 
     basis: FockBasis
     ops: np.ndarray
-    numbers: np.ndarray
-    live: _LiveLayout
     mixture: np.ndarray
-    mixture_coords: np.ndarray
     chi_t_star: float
     target: np.ndarray
-    fidelity_weights: np.ndarray
-    trace_weights: np.ndarray
 
 
 @functools.cache
-def _werner_layout() -> _WernerLayout:
-    """The Werner sweep's layout, built once per process; its arrays are
-    read-only, since every call shares them.
+def _werner_basis() -> _WernerBasis:
+    """The Werner sweep's basis and states, built once per process; its
+    arrays are read-only, since every call shares them."""
+    basis = build_basis(4, cutoff=1, excitation_cap=3)
+    chi_t_star = first_crossing_chi_t(3)
+    return _read_only(_WernerBasis(
+        basis, _ladder(basis), werner_initial(WernerParams(0.0, 0.0), basis), chi_t_star,
+        ideal_target(3, chi_t_star, basis),
+    ))
+
+
+@dataclass(frozen=True, eq=False)
+class _DampedWerner:
+    """The damped Werner sweep's Liouvillian as a linear map of 20 real
+    parameters, and what reads its states, in the real coordinates of the
+    live layout (dynamics._live_layout) of the diagonal photon-number
+    blocks, of which there are size.
+
+    For a Hermitian one-photon block B and mode rates kappa, the real
+    generator (dynamics._real_generator) of the drift -i lift(B) - sum_k
+    kappa_k n_k / 2 is linear in c = (Re B at the flat entries
+    real_entries, the upper triangle, Im B at imag_entries, the strict
+    upper triangle, then kappa): term t adds c[stack[t]] values[t] to its
+    flat entry where[t] (generator).  The pure state cos(theta)|100> +
+    i sin(theta)|010> has the coordinates (cos^2, sin^2, cos sin) @
+    pure_parts, the mixture M has mixture, and fidelity_weights and
+    trace_weights read <target|rho|target> and tr rho off them."""
+
+    real_entries: np.ndarray
+    imag_entries: np.ndarray
+    size: int
+    stack: np.ndarray
+    where: np.ndarray
+    values: np.ndarray
+    pure_parts: np.ndarray
+    mixture: np.ndarray
+    fidelity_weights: np.ndarray
+    trace_weights: np.ndarray
+
+    def generator(self, block: np.ndarray, kappas: np.ndarray) -> np.ndarray:
+        """The size x size real generator for the block B and the rates,
+        one sparse contraction of the terms with c."""
+        c = np.concatenate((block.real.take(self.real_entries),
+                            block.imag.take(self.imag_entries), kappas))
+        gen = np.bincount(self.where, c[self.stack] * self.values, minlength=self.size ** 2)
+        return gen.reshape(self.size, self.size)
+
+
+@functools.cache
+def _damped_werner() -> _DampedWerner:
+    """The damped Werner sweep's generator terms, built once per process by
+    one dynamics._real_terms call on the stack of 20 drifts; its arrays are
+    read-only.
 
     Every Hamiltonian the sweep lifts conserves the photon number and decay
     only lowers it, so the entries reachable from the Werner states, under
     every hop a_k^dag a_l and every decay, are the diagonal photon-number
     blocks of sectors 0..3 (1 + 16 + 36 + 16 = 69 of 225), for any spec."""
-    basis = build_basis(4, cutoff=1, excitation_cap=3)
-    ops = _ladder(basis)
-    mixture = werner_initial(WernerParams(0.0, 0.0), basis)
-    # a pure state with both amplitudes nonzero has the support of every theta
-    rho0 = np.stack((mixture, werner_initial(WernerParams(1.0, 0.25 * np.pi), basis)))
-    every_hop = _lift(np.ones((basis.modes, basis.modes)), ops)
-    live = _live_layout(every_hop[None], ops, np.ones((basis.modes, 1)), rho0)
-    chi_t_star = first_crossing_chi_t(3)
-    target = ideal_target(3, chi_t_star, basis)
-    # the density matrix of each unit coordinate, then what each reads
-    units = live.density(np.eye(live.upper.size + live.strict.size))
-    layout = _WernerLayout(
-        basis, ops, ops.conj().swapaxes(1, 2) @ ops, live, mixture, live.coords(mixture),
-        chi_t_star, target, fidelity_dm(units, target), np.einsum("kii->k", units).real,
-    )
-    for value in (*vars(layout).values(), *vars(live).values()):
+    base = _werner_basis()
+    basis, ops = base.basis, base.ops
+    modes = basis.modes
+    # the drifts that Re B[k, l] (k <= l) and Im B[k, l] (k < l) weight:
+    # -i (a_k^dag a_l + a_l^dag a_k) and a_k^dag a_l - a_l^dag a_k, the
+    # lifts of B's 16 Hermitian unit blocks times -i, then the four decays
+    # -n_k / 2 with their unit rates
+    hops = ops.conj().swapaxes(1, 2)[:, None] @ ops
+    rows, cols = np.triu_indices(modes)
+    strict = rows < cols
+    drifts = np.concatenate((
+        -1j * (hops[rows, cols] + hops[cols, rows] * strict[:, None, None]),
+        (hops[rows, cols] - hops[cols, rows])[strict],
+        -0.5 * hops[range(modes), range(modes)],
+    ))
+    rates = np.concatenate((np.zeros((rows.size + np.count_nonzero(strict), modes)),
+                            np.eye(modes)))
+    # |100><100|, |010><010| and the cross term that cos sin weights
+    one, two = (single_photon_index(basis, m) for m in (1, 2))
+    parts = np.zeros((3, basis.dim, basis.dim), dtype=complex)
+    parts[0, one, one] = parts[1, two, two] = 1.0
+    parts[2, one, two], parts[2, two, one] = -1j, 1j
+    live = _live_layout(drifts, ops, rates.T, np.concatenate((base.mixture[None], parts)))
+    # <t|rho|t> sums rho_ij conj(t_i) t_j, and each strict upper entry of
+    # rho meets its mirror there: the fidelity weights are twice the
+    # coordinates of |t><t| less its diagonal once; the trace weights are
+    # the coordinates of the identity
+    projector = np.outer(base.target, base.target.conj())
+    fidelity_weights = 2.0 * live.coords(projector) - live.coords(np.diag(np.diag(projector)))
+    return _read_only(_DampedWerner(
+        rows * modes + cols, (rows * modes + cols)[strict],
+        live.size, *_real_terms(drifts, rates, live),
+        live.coords(parts), live.coords(base.mixture),
+        fidelity_weights, live.coords(np.eye(basis.dim)),
+    ))
+
+
+def _read_only(cached):
+    """cached, with every array it holds made read-only."""
+    for value in vars(cached).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    return layout
+    return cached
 
 
 def optimize_g1(
@@ -619,8 +694,18 @@ def _jsonable(obj):
     return obj
 
 
+def _make_dirs(path: Path) -> None:
+    """Make the directory path and its parents, refusing a regular file in
+    its place as what it is, not a directory, rather than in mkdir's words,
+    which say that the file exists."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except FileExistsError as exc:
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), exc.filename) from None
+
+
 def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dirs(path.parent)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:

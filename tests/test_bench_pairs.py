@@ -135,3 +135,15 @@ def test_output_runs_compare_a_damped_werner_sweep(monkeypatch):
     assert bench_pairs._output_runs({"parent": repo, "change": repo}) == {
         "damped_werner_outputs": {"werner_sweep.csv": "byte-identical",
                                   "werner_sweep.meta.json": "byte-identical"}}
+
+
+def test_cli_timings_include_the_damped_werner_cold_start():
+    # the damped Werner sweep's once-per-process set-up shows in a cold
+    # start of its own, timed beside `all` with its minor page faults; the
+    # config it reads is written into each run's fresh directory
+    bench_pairs = _load_script()
+    argv = bench_pairs.CLI_COMMANDS["werner_damped_s"]
+    assert argv[:3] == ["werner", "--config", "damped.json"]
+    assert bench_pairs._minflt_key("werner_damped_s") == "werner_damped_minflt"
+    wall, faults = bench_pairs._time_cli(SCRIPT.parents[1], argv)
+    assert wall > 0.0 and faults > 0

@@ -586,13 +586,15 @@ def test_unreadable_config_reported_in_the_loaders_words(capsys):
 
 
 @pytest.mark.parametrize("argv, says", [
-    (["evolve", "--n", "3", "--out", os.path.join("F", "x.csv")], "'F'"),
+    (["evolve", "--n", "3", "--out", os.path.join("F", "x.csv")], "Not a directory: 'F'"),
+    (["werner", "--out", os.path.join("F", "w.csv")], "Not a directory: 'F'"),
     (["all", "--outdir", "F"], "Not a directory: 'F'"),
-], ids=["evolve", "all"])
+], ids=["evolve", "werner", "all"])
 def test_output_under_a_regular_file_exit_2(argv, says, tmp_path, capsys):
     # an OSError from writing is reported in one line, like any bad input,
-    # and leaves no temporary file behind; `all` refuses its --outdir before
-    # any run, so it too says so once
+    # and leaves no temporary file behind; a regular file where a directory
+    # goes is named as not a directory, by every command, and `all` refuses
+    # its --outdir before any run, so it too says so once
     (tmp_path / "F").write_text("", encoding="utf-8")
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()

@@ -40,8 +40,8 @@ from resonatorsim import (
     werner_initial,
     write_result,
 )
-from resonatorsim import experiments, hamiltonians, verify_sw_identities
-from resonatorsim.dynamics import _expm
+from resonatorsim import dynamics, experiments, hamiltonians, verify_sw_identities
+from resonatorsim.dynamics import _expm, _live_layout, _real_generator
 from resonatorsim.experiments import _distinct_minima, _with_coupling
 
 from kron_liouvillian import kron_generator
@@ -208,10 +208,10 @@ def test_single_photon_scenarios_build_no_fock_basis(monkeypatch):
     sweep_gm(ratios=(math.inf, 10.0))
     sweep_fidelity_map_g2(g2_ratios=[0.8, 1.0])
     optimize_g1(5)
-    # the Werner sweep keeps its Fock basis, built with its layout (cached
-    # per process, so the uncached builder shows that the patch is live)
+    # the Werner sweep keeps its Fock basis, built once per process (so
+    # the uncached builder shows that the patch is live)
     with pytest.raises(AssertionError, match="Fock basis"):
-        experiments._werner_layout.__wrapped__()
+        experiments._werner_basis.__wrapped__()
 
 
 @pytest.mark.parametrize(
@@ -432,8 +432,12 @@ def test_damped_werner_sweep_matches_full_liouvillian():
 
 
 def test_damped_werner_sweeps_share_one_read_only_layout():
-    # two sweeps in one process, with other rates, angles and weights and one
-    # with a direct coupling, step their coordinates on one layout, built once
+    # the undamped sweep builds the basis alone; two damped sweeps in one
+    # process, with other rates, angles and weights and one with a direct
+    # coupling, contract one set of generator terms, built once
+    experiments._damped_werner.cache_clear()
+    sweep_werner(p_grid=[0.5])
+    assert experiments._damped_werner.cache_info().currsize == 0
     cases = [
         (SystemSpec(6.75, 0.3, tuple(ResonatorSpec(5.75, 50.0, k) for k in (0.1, 0.5, 0.8)),
                     gm_mhz=0.5), [0.0, 0.35, 1.0], (0.1, 0.4)),
@@ -444,17 +448,70 @@ def test_damped_werner_sweeps_share_one_read_only_layout():
         res = sweep_werner(spec, p_grid=ps, thetas_pi=thetas)
         for name, column in _kron_werner_columns(spec, ps, thetas).items():
             np.testing.assert_allclose(res.columns[name], column, rtol=0, atol=1.0e-12)
-    info = experiments._werner_layout.cache_info()
+    info = experiments._damped_werner.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    layout = experiments._werner_layout()
-    assert layout.mixture_coords.shape == (69,)
-    arrays = [v for v in (*vars(layout).values(), *vars(layout.live).values())
+    assert experiments._werner_basis.cache_info().currsize == 1
+    base, damped = experiments._werner_basis(), experiments._damped_werner()
+    assert damped.size == 69 and damped.mixture.shape == (69,)
+    arrays = [v for v in (*vars(base).values(), *vars(damped).values())
               if isinstance(v, np.ndarray)]
-    assert len(arrays) == 15 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) == 12 and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
-        layout.live.jump_blocks[0, 0, 0] = 1.0
+        damped.values[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        layout.fidelity_weights[0] += 1.0
+        damped.fidelity_weights[0] += 1.0
+
+
+def _werner_live_layout():
+    """The live layout of the Werner states under every hop and decay,
+    closed afresh: the coordinates the damped generator terms use."""
+    basis = build_basis(4, cutoff=1, excitation_cap=3)
+    ops = hamiltonians._ladder(basis)
+    rho0 = np.stack([werner_initial(WernerParams(p, 0.25 * np.pi), basis) for p in (0.0, 1.0)])
+    every_hop = hamiltonians._lift(np.ones((4, 4)), ops)
+    return ops, _live_layout(every_hop[None], ops, np.ones((4, 1)), rho0)
+
+
+def test_damped_werner_generator_contracts_the_layout_generator():
+    # the 20 parameters (Re and Im of the Hermitian block, the rates) times
+    # the terms built once give the Liouvillian that _real_generator
+    # gathers from the lifted drift, for random blocks, a G_M chain and
+    # rates with zeros
+    rng = np.random.default_rng(28)
+    ops, live = _werner_live_layout()
+    numbers = ops.conj().swapaxes(1, 2) @ ops
+    blocks = []
+    for _ in range(3):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        blocks.append(a + a.conj().T)
+    chain = SystemSpec(6.75, 0.0, (ResonatorSpec(5.9, 40.0), ResonatorSpec(5.75, 55.0),
+                                   ResonatorSpec(5.6, 50.0)), gm_mhz=1.3)
+    blocks.append(experiments._one_photon_frame(chain))
+    rates = [np.array([0.0, 0.7, 0.0, 0.2]), np.zeros(4), rng.random(4), np.array([1.5, 0, 0, 0])]
+    damped = experiments._damped_werner()
+    for block, kappas in zip(blocks, rates):
+        drift = -1j * hamiltonians._lift(block, ops) - 0.5 * np.einsum("k,kij->ij", kappas, numbers)
+        expected = _real_generator(drift, kappas, live)
+        got = damped.generator(block, kappas)
+        assert np.max(np.abs(got - expected)) <= 1.0e-13 * np.max(np.abs(expected))
+
+
+def test_warm_damped_werner_call_builds_no_operator_or_state(monkeypatch):
+    # once built, a damped call contracts the terms: it lifts no block,
+    # gathers no generator and builds no Werner density matrix
+    spec = SystemSpec(6.75, 0.3, tuple(ResonatorSpec(5.75, 50.0, k) for k in (0.1, 0.5, 0.8)))
+    expected = sweep_werner(spec, p_grid=[0.2, 0.9], thetas_pi=(0.0, 0.3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm damped Werner call rebuilt an operator or a state")
+
+    for module, name in [(experiments, "_lift"), (experiments, "_real_terms"),
+                         (experiments, "_live_layout"), (experiments, "werner_initial"),
+                         (dynamics, "_real_generator"), (dynamics, "_real_terms")]:
+        monkeypatch.setattr(module, name, refuse)
+    res = sweep_werner(spec, p_grid=[0.2, 0.9], thetas_pi=(0.0, 0.3))
+    for name, column in expected.columns.items():
+        np.testing.assert_array_equal(res.columns[name], column)
 
 
 def test_optimizer_invariants():
