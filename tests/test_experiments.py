@@ -473,10 +473,10 @@ def _werner_live_layout():
 
 
 def test_damped_werner_generator_contracts_the_layout_generator():
-    # the 20 parameters (Re and Im of the Hermitian block, the rates) times
-    # the terms built once give the Liouvillian that _real_generator
-    # gathers from the lifted drift, for random blocks, a G_M chain and
-    # rates with zeros
+    # the 20 parameters (Re and Im of the Hermitian block, the rates)
+    # contracted with the terms built once give the Liouvillian that
+    # _real_generator builds from the lifted drift, for random blocks, a
+    # G_M chain and rates with zeros
     rng = np.random.default_rng(28)
     ops, live = _werner_live_layout()
     numbers = ops.conj().swapaxes(1, 2) @ ops
