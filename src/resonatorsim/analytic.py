@@ -67,8 +67,10 @@ def find_w_crossings(n: int, chi_t_max: float) -> np.ndarray:
     a = np.arccos(1.0 - n / 2.0)
     turns = 2.0 * np.pi * np.arange(int(n * chi_t_max / (2.0 * np.pi)) + 1)
     # -a is taken as 2 pi - a, so that for n = 4 (a = pi) both branches
-    # give bitwise-equal phases and np.unique merges them
-    x = np.unique(np.concatenate([turns + a, turns + (2.0 * np.pi - a)])) / n
+    # give bitwise-equal phases, which sit side by side once sorted; the
+    # first of each run is kept (np.unique would import numpy.ma)
+    x = np.sort(np.concatenate([turns + a, turns + (2.0 * np.pi - a)]))
+    x = x[np.concatenate(([True], x[1:] != x[:-1]))] / n
     # a root that equals chi_t_max up to rounding lies inside the window
     return x[(x > 0.0) & (x <= chi_t_max + 4.0 * np.spacing(chi_t_max))]
 

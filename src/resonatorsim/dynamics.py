@@ -11,10 +11,11 @@ step exp(A): _expm (Pade scaling and squaring in numpy), which the Lindblad
 route applies over one grid spacing to each distinct Liouvillian of the
 batch, assembled on the entries reachable from the initial support and
 written in real coordinates of a Hermitian rho, so that the matrix it
-exponentiates is real; the layout of those entries (_live_layout) and the
-generator on it (_real_generator, the sum of the nonzero terms that
-_real_terms lists for a stack of drifts) are separate steps, so the damped
-Werner sweep builds its layout and its generator terms once per process.
+exponentiates is real; the layout of those entries and of the generator's
+nonzero pairs on them (_live_layout) and the generator on it
+(_real_generator, the sum of the nonzero terms that _real_terms lists for
+a stack of drifts) are separate steps, so the Werner sweep, with or
+without decay, builds its layout and its generator terms once per process.
 The reduced amplitudes are a unitary problem in a rotated frame.  All
 routes treat the initial state as the state at grid.t_start.  Trace
 (Lindblad) and norm (amplitudes) are conserved exactly by these
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 #: largest Hilbert dimension d the Lindblad route accepts; a full-rank rho0
-#: makes every entry live: the generator's rows of the d(d+1)/2 upper
-#: entries are then a complex array of 8 d^3 (d+1) bytes (8.7 MB at d = 32),
-#: as is each collapse operator's block of them, and the real d^2 x d^2
-#: matrix that _expm takes, like each of its work arrays, 8 d^4 bytes (8.4 MB)
+#: makes every entry live: _live_layout then finds the generator's nonzero
+#: pairs among its d(d+1)/2 rows and d^2 columns through index tables of
+#: 4 d^3 (d+1) bytes each (4.3 MB at d = 32), and the real d^2 x d^2 matrix
+#: that _expm takes, like each of its work arrays, is 8 d^4 bytes (8.4 MB)
 MAX_LINDBLAD_DIM = 32
 
 # degree-13 Pade approximant of exp and the 1-norm up to which it is accurate
@@ -210,8 +211,9 @@ def evolve_lindblad_batch(
     only the rows of the upper live entries are assembled, and the matrix
     exponentiated is real, of the same size as the live set.  The states
     returned are Herm(e^{Lt} rho0) = e^{Lt} Herm(rho0), Hermitian exactly.
-    _live_layout closes the live set and lays out its coordinates and index
-    tables; _real_generator gathers each distinct generator on them.
+    _live_layout closes the live set and lays out its coordinates and the
+    generator's nonzero pairs; _real_generator gathers each distinct
+    generator on them.
 
     Parameters
     ----------
@@ -286,27 +288,31 @@ def evolve_lindblad_batch(
 
 @dataclass(frozen=True, eq=False)
 class _LiveLayout:
-    """The live entries of rho and the generator's index tables on them.
+    """The live entries of rho and the generator's nonzero pairs on them.
 
     Live entry (i, j) of rho sits at i * d + j of vec(rho).  The real
     coordinates are x = Re rho on the upper entries (i <= j, flat indices
     upper) and y = Im rho on the strictly upper ones (upper[strict]), whose
     mirrors (j, i) are lower.  The generator's rows are the upper entries
-    and its columns every live entry, upper then lower: ip and jq hold the
-    flat indices of the operator entries (i, p) and (j, q) that row (i, j)
-    and column (p, q) pick, same_row and same_col whether i = p and j = q,
-    and jump_blocks[k] the products xi_k[i, p] conj(xi_k)[j, q] there.
+    and its columns every live entry, upper then lower.  The pairs of row
+    (i, j) and column (p, q) where a term can be nonzero are listed once,
+    as rows and cols: first those with j = q, where D[i, p] enters (its
+    flat index in left), then those with i = p, where conj(D[j, q]) enters
+    (right), then those where xi_k[i, p] and xi_k[j, q] are both nonzero,
+    for the operator k in jump, with the products xi_k[i, p] conj(xi_k)[j,
+    q] in jump_values.
     """
 
     dim: int
     upper: np.ndarray
     strict: np.ndarray
     lower: np.ndarray
-    ip: np.ndarray
-    jq: np.ndarray
-    same_row: np.ndarray
-    same_col: np.ndarray
-    jump_blocks: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    jump: np.ndarray
+    jump_values: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
 
     @property
     def size(self) -> int:
@@ -336,7 +342,7 @@ def _live_layout(drift: np.ndarray, ops: np.ndarray, rates: np.ndarray,
                  rho0: np.ndarray) -> _LiveLayout:
     """The layout of the entries reachable from the support of Herm(rho0)
     (B, d, d) under the drifts (B, d, d) and the collapse operators ops
-    (K, d, d) whose rates (K, B) are not all zero; the jump blocks are
+    (K, d, d) whose rates (K, B) are not all zero; the jump pairs are
     those of every operator."""
     # each term A rho B^dag (D rho, rho D^dag, xi rho xi^dag) fills the
     # pattern A @ live @ B^T, and the union stays symmetric; 0/1 floats make
@@ -359,15 +365,22 @@ def _live_layout(drift: np.ndarray, ops: np.ndarray, rates: np.ndarray,
     rows, cols = divmod(upper, dim)
     strict = np.flatnonzero(rows < cols)
     lower = cols[strict] * dim + rows[strict]
+    # the flat indices of the operator entries (i, p) and (j, q) that row
+    # (i, j) and column (p, q) pick, for every pair of the R x C generator
     col_rows, col_cols = divmod(np.concatenate((upper, lower)), dim)
     ip = rows[:, None] * dim + col_rows
     jq = cols[:, None] * dim + col_cols
+    same_col = np.nonzero(cols[:, None] == col_cols)
+    same_row = np.nonzero(rows[:, None] == col_rows)
     flat_ops = ops.reshape(len(ops), dim * dim)
+    nonzero = flat_ops != 0
+    jump, jump_row, jump_col = np.nonzero(nonzero[:, ip] & nonzero[:, jq])
+    jump_ip, jump_jq = ip[jump_row, jump_col], jq[jump_row, jump_col]
     return _LiveLayout(
-        dim, upper, strict, lower, ip, jq,
-        same_row=rows[:, None] == col_rows[None, :],
-        same_col=cols[:, None] == col_cols[None, :],
-        jump_blocks=flat_ops[:, ip] * flat_ops.conj()[:, jq],
+        dim, upper, strict, lower, ip[same_col], jq[same_row], jump,
+        jump_values=flat_ops[jump, jump_ip] * flat_ops[jump, jump_jq].conj(),
+        rows=np.concatenate((same_col[0], same_row[0], jump_row)),
+        cols=np.concatenate((same_col[1], same_row[1], jump_col)),
     )
 
 
@@ -388,16 +401,13 @@ def _real_terms(drift: np.ndarray, rates: np.ndarray,
     Terms with the same stack index and entry add up."""
     # the complex generator at row (i, j) and column (p, q) sums D[i, p]
     # where j = q, conj(D[j, q]) where i = p and kappa_k xi_k[i, p]
-    # conj(xi_k)[j, q]; only the pairs where some term can be nonzero
-    left, right = np.nonzero(layout.same_col), np.nonzero(layout.same_row)
-    jump, *by_jump = np.nonzero(layout.jump_blocks)
+    # conj(xi_k)[j, q], on the layout's pairs where some term can be nonzero
     flat = drift.reshape(len(drift), -1)
-    terms = np.concatenate((flat[:, layout.ip[left]], flat[:, layout.jq[right]].conj(),
-                            rates[:, jump] * layout.jump_blocks[(jump, *by_jump)]), axis=1)
+    terms = np.concatenate((flat[:, layout.left], flat[:, layout.right].conj(),
+                            rates[:, layout.jump] * layout.jump_values), axis=1)
     stack, k = np.nonzero(terms)
     terms = terms[stack, k]
-    rows = np.concatenate((left[0], right[0], by_jump[0]))[k]
-    cols = np.concatenate((left[1], right[1], by_jump[1]))[k]
+    rows, cols = layout.rows[k], layout.cols[k]
     # rho_f = x_f + i y_f on an upper column f and x_f - i y_f on its
     # mirror: a term g there adds g to x_f's column and i g or -i g to
     # y_f's; row (i, j) is the real part of each, the y row of a strict

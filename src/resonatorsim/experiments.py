@@ -20,10 +20,10 @@ in vacuum: damped populations and fidelities are exactly exp(-kappa t)
 times the unitary ones.  They take kappa from their own arguments and,
 like optimize_g1 (which runs without decay), refuse a spec with decay
 rates.  Only the Werner sweep (up to three photons, rates per mode from
-the spec) builds a Fock basis, once per process (_werner_basis); with
-decay rates it exponentiates the Liouvillian on the live coordinates of
-the photon-number blocks, contracted from generator terms that are built
-once per process too (_damped_werner) with the block and the rates.
+the spec, zeros included) builds a Fock basis, once per process with the
+generator terms on it (_werner): each call exponentiates the Liouvillian
+on the live coordinates of the photon-number blocks, contracted from those
+terms with the block and the rates.
 """
 
 from __future__ import annotations
@@ -44,13 +44,12 @@ from .analytic import amplitude_grid, find_w_crossings
 from .dynamics import TimeGrid, evolve_unitary
 from .dynamics import _check_conserved, _expm, _live_layout, _phase_product
 from .dynamics import _real_terms, _sqrt_split
-from .fockspace import FockBasis, build_basis, single_photon_index
-from .hamiltonians import _ladder, _lift, one_photon_hamiltonian
+from .fockspace import build_basis, single_photon_index
+from .hamiltonians import _ladder, one_photon_hamiltonian
 from .model import SystemSpec, ResonatorSpec, derive_dispersive, spec_to_dict
 from .observables import (
     WernerParams,
     _one_photon_target,
-    fidelity_dm,
     fidelity_pure_target,
     ideal_target,
     werner_initial,
@@ -287,16 +286,15 @@ def sweep_werner(
     """Fidelity at the pinned operation time for Werner-type initial states,
     one curve per overlap angle theta (given in units of pi).
 
-    The block B is _one_photon_frame, the one the other scenarios use.
-    Decay rates are taken from the spec.  With none, one step exp(-i h t*)
-    by dynamics._expm advances the density matrices, h the lift of B on
-    the ladder operators of _werner_basis.  Otherwise one step of the exact
-    Liouvillian does, on the 69 live real coordinates of _damped_werner:
-    its terms, built once per process, contract with the 20 real numbers
-    of B and the rates into the generator, which is exponentiated once;
-    the pure states enter as three fixed coordinate vectors weighted by
-    cos^2, sin^2 and cos sin of theta, and the fidelities and traces are
-    read off the stepped coordinates with its weights.  The initial state
+    The block B is _one_photon_frame, the one the other scenarios use, and
+    the decay rates are the spec's, zeros included.  One step of the exact
+    Liouvillian advances the states, on the 69 live real coordinates of
+    _werner: its terms, built once per process, contract with the 20 real
+    numbers of B and the rates into the generator, which dynamics._expm
+    exponentiates once; the pure states enter as three fixed coordinate
+    vectors weighted by cos^2, sin^2 and cos sin of theta, and the
+    fidelities and traces are read off the stepped coordinates with its
+    weights, the traces checked against the initial ones.  The initial state
     p |psi_theta><psi_theta| + (1 - p) M enters linearly, and so does the
     fidelity: only the pure state of each theta (p = 1) and the mixture M
     (p = 0) are propagated, and F(p) = p F(1) + (1 - p) F(0).
@@ -307,31 +305,22 @@ def sweep_werner(
     _require_nonempty(p_grid=ps, thetas_pi=thetas)
     names = _column_names("f_theta_{:g}pi", thetas, "thetas_pi")
 
-    base = _werner_basis()
-    t_star = base.chi_t_star / chi
+    werner = _werner()
+    t_star = werner.chi_t_star / chi
     block = _one_photon_frame(spec)
     for p in ps:  # WernerParams holds the rule on a mixture weight
         WernerParams(float(p), 0.0)
     pure_states = [WernerParams(1.0, np.pi * th) for th in thetas]
-    kappas = np.array(_mode_rates(spec))
-    if any(kappas):
-        damped = _damped_werner()
-        step = _expm(damped.generator(block, kappas) * t_star)
-        # the pure state of each theta (p = 1), then the mixture (p = 0)
-        angles = np.array([state.theta for state in pure_states])
-        cos, sin = np.cos(angles), np.sin(angles)
-        pure = np.stack((cos * cos, sin * sin, cos * sin), axis=1) @ damped.pure_parts
-        coords = np.concatenate((pure, damped.mixture[None]))
-        final = coords @ step.T
-        traces = np.stack((coords, final)) @ damped.trace_weights
-        _check_conserved("trace", traces, traces[0], (0.0, t_star))
-        fid = final @ damped.fidelity_weights
-    else:
-        h = _lift(block, base.ops)
-        pure = np.stack([werner_initial(state, base.basis) for state in pure_states])
-        u = _expm(-1j * t_star * h)
-        final = u @ np.concatenate((pure, base.mixture[None])) @ u.conj().T
-        fid = fidelity_dm(final, base.target)
+    step = _expm(werner.generator(block, np.array(_mode_rates(spec))) * t_star)
+    # the pure state of each theta (p = 1), then the mixture (p = 0)
+    angles = np.array([state.theta for state in pure_states])
+    cos, sin = np.cos(angles), np.sin(angles)
+    pure = np.stack((cos * cos, sin * sin, cos * sin), axis=1) @ werner.pure_parts
+    coords = np.concatenate((pure, werner.mixture[None]))
+    final = coords @ step.T
+    traces = np.stack((coords, final)) @ werner.trace_weights
+    _check_conserved("trace", traces, traces[0], (0.0, t_star))
+    fid = final @ werner.fidelity_weights
     fid = fid[:-1, None] * ps + fid[-1] * (1.0 - ps)
 
     columns: dict = {"p": ps}
@@ -339,43 +328,18 @@ def sweep_werner(
         columns[name] = row
     meta = _base_metadata("werner_sweep", spec, chi)
     meta["thetas_pi"] = thetas
-    meta["chi_t_star_over_pi"] = base.chi_t_star / np.pi
+    meta["chi_t_star_over_pi"] = werner.chi_t_star / np.pi
     meta["operation_time_us"] = t_star
     return ScenarioResult(meta["name"], columns, meta)
 
 
 @dataclass(frozen=True, eq=False)
-class _WernerBasis:
-    """What every Werner sweep needs and no spec changes: the 15-state basis
-    (bus and three resonators, up to three photons), its ladder operators
-    ops, the mixture M, the first equal-population phase chi t* and the
-    target there."""
-
-    basis: FockBasis
-    ops: np.ndarray
-    mixture: np.ndarray
-    chi_t_star: float
-    target: np.ndarray
-
-
-@functools.cache
-def _werner_basis() -> _WernerBasis:
-    """The Werner sweep's basis and states, built once per process; its
-    arrays are read-only, since every call shares them."""
-    basis = build_basis(4, cutoff=1, excitation_cap=3)
-    chi_t_star = first_crossing_chi_t(3)
-    return _read_only(_WernerBasis(
-        basis, _ladder(basis), werner_initial(WernerParams(0.0, 0.0), basis), chi_t_star,
-        ideal_target(3, chi_t_star, basis),
-    ))
-
-
-@dataclass(frozen=True, eq=False)
-class _DampedWerner:
-    """The damped Werner sweep's Liouvillian as a linear map of 20 real
+class _Werner:
+    """The Werner sweep's Liouvillian as a linear map of 20 real
     parameters, and what reads its states, in the real coordinates of the
     live layout (dynamics._live_layout) of the diagonal photon-number
-    blocks, of which there are size.
+    blocks, of which there are size; chi_t_star is the first
+    equal-population phase chi t*.
 
     For a Hermitian one-photon block B and mode rates kappa, the real
     generator (dynamics._real_generator) of the drift -i lift(B) - sum_k
@@ -385,8 +349,10 @@ class _DampedWerner:
     flat entry where[t] (generator).  The pure state cos(theta)|100> +
     i sin(theta)|010> has the coordinates (cos^2, sin^2, cos sin) @
     pure_parts, the mixture M has mixture, and fidelity_weights and
-    trace_weights read <target|rho|target> and tr rho off them."""
+    trace_weights read <target|rho|target> and tr rho off them, the
+    target being the W state at chi t*."""
 
+    chi_t_star: float
     real_entries: np.ndarray
     imag_entries: np.ndarray
     size: int
@@ -408,17 +374,21 @@ class _DampedWerner:
 
 
 @functools.cache
-def _damped_werner() -> _DampedWerner:
-    """The damped Werner sweep's generator terms, built once per process by
-    one dynamics._real_terms call on the stack of 20 drifts; its arrays are
-    read-only.
+def _werner() -> _Werner:
+    """The Werner sweep's generator terms and state coordinates, built once
+    per process on the 15-state basis (bus and three resonators, up to
+    three photons) by one dynamics._real_terms call on the stack of 20
+    drifts; its arrays are read-only, since every call shares them.
 
-    Every Hamiltonian the sweep lifts conserves the photon number and decay
-    only lowers it, so the entries reachable from the Werner states, under
+    The Hamiltonian of every one-photon block conserves the photon number
+    and decay only lowers it, so the entries reachable from the Werner states, under
     every hop a_k^dag a_l and every decay, are the diagonal photon-number
     blocks of sectors 0..3 (1 + 16 + 36 + 16 = 69 of 225), for any spec."""
-    base = _werner_basis()
-    basis, ops = base.basis, base.ops
+    basis = build_basis(4, cutoff=1, excitation_cap=3)
+    ops = _ladder(basis)
+    mixture = werner_initial(WernerParams(0.0, 0.0), basis)
+    chi_t_star = first_crossing_chi_t(3)
+    target = ideal_target(3, chi_t_star, basis)
     modes = basis.modes
     # the drifts that Re B[k, l] (k <= l) and Im B[k, l] (k < l) weight:
     # -i (a_k^dag a_l + a_l^dag a_k) and a_k^dag a_l - a_l^dag a_k, the
@@ -439,17 +409,17 @@ def _damped_werner() -> _DampedWerner:
     parts = np.zeros((3, basis.dim, basis.dim), dtype=complex)
     parts[0, one, one] = parts[1, two, two] = 1.0
     parts[2, one, two], parts[2, two, one] = -1j, 1j
-    live = _live_layout(drifts, ops, rates.T, np.concatenate((base.mixture[None], parts)))
+    live = _live_layout(drifts, ops, rates.T, np.concatenate((mixture[None], parts)))
     # <t|rho|t> sums rho_ij conj(t_i) t_j, and each strict upper entry of
     # rho meets its mirror there: the fidelity weights are twice the
     # coordinates of |t><t| less its diagonal once; the trace weights are
     # the coordinates of the identity
-    projector = np.outer(base.target, base.target.conj())
+    projector = np.outer(target, target.conj())
     fidelity_weights = 2.0 * live.coords(projector) - live.coords(np.diag(np.diag(projector)))
-    return _read_only(_DampedWerner(
-        rows * modes + cols, (rows * modes + cols)[strict],
+    return _read_only(_Werner(
+        chi_t_star, rows * modes + cols, (rows * modes + cols)[strict],
         live.size, *_real_terms(drifts, rates, live),
-        live.coords(parts), live.coords(base.mixture),
+        live.coords(parts), live.coords(mixture),
         fidelity_weights, live.coords(np.eye(basis.dim)),
     ))
 

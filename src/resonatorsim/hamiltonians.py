@@ -5,8 +5,9 @@ index 0): one_photon_hamiltonian for bus + distant resonators + optional
 direct nearest-neighbour coupling, and _sw_block for the antihermitian
 generator that eliminates the bus to first order.  Both are bilinear in the
 mode operators, so their Fock-space matrices (build_full, build_sw_generator)
-are lifts sum_kl B[k, l] a_k^dag a_l of the blocks (_lift, which also gives
-the Werner sweep its Hamiltonian, from experiments._one_photon_frame), and
+are lifts sum_kl B[k, l] a_k^dag a_l of the blocks (_lift; the Werner
+sweep lifts no block, it contracts experiments._one_photon_frame with
+generator terms built from the ladder operators of _ladder), and
 verify_sw_identities checks the elimination on the blocks (e^S by _expm).
 All matrices are dense complex arrays in rad/us.
 """

@@ -78,8 +78,9 @@ def test_crossings_non_finite_window_exit_2(value, tmp_path, capsys):
 def test_closed_commands_leave_scipy_unimported(tmp_path):
     # no command imports scipy, not even the damped Werner sweep (bus and
     # resonators decay in its config), which exponentiates its generator with
-    # numpy; a fresh interpreter shows whether importing the package or any
-    # command pulls it in
+    # numpy, nor numpy.ma, which np.unique would import on its first call; a
+    # fresh interpreter shows whether importing the package or any command
+    # pulls either in
     cfg = tmp_path / "damped.json"
     cfg.write_text(json.dumps(spec_to_dict(reference_spec(3, kappa_mhz=0.5))), encoding="utf-8")
     script = (
@@ -90,7 +91,7 @@ def test_closed_commands_leave_scipy_unimported(tmp_path):
         "             ['evolve', '--n', '3', '--kappa-mhz', '0.5'], ['fidelity', '--n', '3'],\n"
         "             ['gm-sweep'], ['werner', '--config', 'damped.json', '--out', 'wd.csv']):\n"
         "    assert main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy') or m == 'numpy.ma'))\n"
     )
     src = os.path.dirname(os.path.dirname(resonatorsim.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -211,7 +211,7 @@ def test_single_photon_scenarios_build_no_fock_basis(monkeypatch):
     # the Werner sweep keeps its Fock basis, built once per process (so
     # the uncached builder shows that the patch is live)
     with pytest.raises(AssertionError, match="Fock basis"):
-        experiments._werner_basis.__wrapped__()
+        experiments._werner.__wrapped__()
 
 
 @pytest.mark.parametrize(
@@ -235,21 +235,22 @@ def test_block_families_release_with_one_stacked_eigh(monkeypatch, run):
 
 
 def test_single_steps_exponentiate_with_dynamics_expm(monkeypatch):
-    # e^S of the bus elimination and the closed Werner step both go through
-    # dynamics._expm, once each, on the 4 x 4 block and the 15-state basis
+    # e^S of the bus elimination and the undamped Werner step both go
+    # through dynamics._expm, once each, on the 4 x 4 block and on the 69
+    # live real coordinates of the Werner states
     shapes = []
 
     def recording_expm(a):
-        shapes.append(a.shape)
+        shapes.append((a.shape, a.dtype))
         return _expm(a)
 
     monkeypatch.setattr(hamiltonians, "_expm", recording_expm)
     monkeypatch.setattr(experiments, "_expm", recording_expm)
     verify_sw_identities(reference_spec(3))
-    assert shapes == [(4, 4)]
+    assert shapes == [((4, 4), np.complex128)]
     shapes.clear()
     sweep_werner()
-    assert shapes == [(15, 15)]
+    assert shapes == [((69, 69), np.float64)]
 
 
 @pytest.mark.parametrize(
@@ -339,25 +340,16 @@ def test_gm_sweep_infinite_ratio_is_baseline():
     [reference_spec(3), SystemSpec(6.75, 0.0, (ResonatorSpec(6.0, 45.0),) * 3, gm_mhz=1.0)],
     ids=["reference", "detuned_gm"],
 )
-def test_werner_hamiltonian_is_the_lifted_frame_block(monkeypatch, spec):
-    # the lift of the one-photon block in resonator 1's frame is the Fock
-    # Hamiltonian shifted into that frame: bitwise at the reference point, and
-    # 4.6e-15 of the largest entry apart on this detuned spec
-    lifted = []
-
-    def recording_lift(block, ops):
-        lifted.append(hamiltonians._lift(block, ops))
-        return lifted[-1]
-
-    monkeypatch.setattr(experiments, "_lift", recording_lift)
-    sweep_werner(spec, p_grid=[0.5])
+def test_werner_hamiltonian_is_the_lifted_frame_block(spec):
+    # without decay, the generator contracted from the one-photon block in
+    # resonator 1's frame is the real generator of the Fock Hamiltonian
+    # shifted into that frame, gathered on the same live layout
+    _, live = _werner_live_layout()
     basis = build_basis(4, cutoff=1, excitation_cap=3)
-    reference = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
-    (h,) = lifted
-    if spec.gm_mhz:
-        assert np.max(np.abs(h - reference)) <= 1.0e-14 * np.max(np.abs(reference))
-    else:
-        np.testing.assert_array_equal(h, reference)
+    h = shift_frame(build_full(spec, basis).h_full, basis, spec.omegas[0])
+    expected = _real_generator(-1j * h, np.zeros(4), live)
+    got = experiments._werner().generator(experiments._one_photon_frame(spec), np.zeros(4))
+    assert np.max(np.abs(got - expected)) <= 1.0e-13 * np.max(np.abs(expected))
 
 
 def test_damped_werner_sweep_exponentiates_the_layout_once(monkeypatch):
@@ -381,7 +373,7 @@ def test_damped_werner_sweep_exponentiates_the_layout_once(monkeypatch):
 
 
 def test_werner_routes_agree():
-    # one _expm step (kappa = 0) vs the master-equation propagator
+    # the contracted generator without decay vs the master-equation propagator
     res = sweep_werner(p_grid=[0.7], thetas_pi=[0.25])
     spec = reference_spec(3)
     model = derive_dispersive(spec)
@@ -432,12 +424,12 @@ def test_damped_werner_sweep_matches_full_liouvillian():
 
 
 def test_damped_werner_sweeps_share_one_read_only_layout():
-    # the undamped sweep builds the basis alone; two damped sweeps in one
-    # process, with other rates, angles and weights and one with a direct
-    # coupling, contract one set of generator terms, built once
-    experiments._damped_werner.cache_clear()
+    # an undamped sweep and two damped sweeps in one process, with other
+    # rates, angles and weights and one with a direct coupling, contract one
+    # set of generator terms, built once
+    experiments._werner.cache_clear()
     sweep_werner(p_grid=[0.5])
-    assert experiments._damped_werner.cache_info().currsize == 0
+    assert experiments._werner.cache_info().currsize == 1
     cases = [
         (SystemSpec(6.75, 0.3, tuple(ResonatorSpec(5.75, 50.0, k) for k in (0.1, 0.5, 0.8)),
                     gm_mhz=0.5), [0.0, 0.35, 1.0], (0.1, 0.4)),
@@ -448,14 +440,12 @@ def test_damped_werner_sweeps_share_one_read_only_layout():
         res = sweep_werner(spec, p_grid=ps, thetas_pi=thetas)
         for name, column in _kron_werner_columns(spec, ps, thetas).items():
             np.testing.assert_allclose(res.columns[name], column, rtol=0, atol=1.0e-12)
-    info = experiments._damped_werner.cache_info()
+    info = experiments._werner.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    assert experiments._werner_basis.cache_info().currsize == 1
-    base, damped = experiments._werner_basis(), experiments._damped_werner()
+    damped = experiments._werner()
     assert damped.size == 69 and damped.mixture.shape == (69,)
-    arrays = [v for v in (*vars(base).values(), *vars(damped).values())
-              if isinstance(v, np.ndarray)]
-    assert len(arrays) == 12 and not any(a.flags.writeable for a in arrays)
+    arrays = [v for v in vars(damped).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         damped.values[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -488,7 +478,7 @@ def test_damped_werner_generator_contracts_the_layout_generator():
                                    ResonatorSpec(5.6, 50.0)), gm_mhz=1.3)
     blocks.append(experiments._one_photon_frame(chain))
     rates = [np.array([0.0, 0.7, 0.0, 0.2]), np.zeros(4), rng.random(4), np.array([1.5, 0, 0, 0])]
-    damped = experiments._damped_werner()
+    damped = experiments._werner()
     for block, kappas in zip(blocks, rates):
         drift = -1j * hamiltonians._lift(block, ops) - 0.5 * np.einsum("k,kij->ij", kappas, numbers)
         expected = _real_generator(drift, kappas, live)
@@ -497,21 +487,27 @@ def test_damped_werner_generator_contracts_the_layout_generator():
 
 
 def test_warm_damped_werner_call_builds_no_operator_or_state(monkeypatch):
-    # once built, a damped call contracts the terms: it lifts no block,
-    # gathers no generator and builds no Werner density matrix
-    spec = SystemSpec(6.75, 0.3, tuple(ResonatorSpec(5.75, 50.0, k) for k in (0.1, 0.5, 0.8)))
-    expected = sweep_werner(spec, p_grid=[0.2, 0.9], thetas_pi=(0.0, 0.3))
+    # once built, a call with or without decay contracts the terms: it
+    # builds no basis, lifts no block, gathers no generator and builds no
+    # Werner density matrix, and gives the cold call's values bitwise
+    specs = [SystemSpec(6.75, 0.3, tuple(ResonatorSpec(5.75, 50.0, k) for k in (0.1, 0.5, 0.8))),
+             reference_spec(3)]
+    experiments._werner.cache_clear()
+    expected = [sweep_werner(spec, p_grid=[0.2, 0.9], thetas_pi=(0.0, 0.3)) for spec in specs]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a warm damped Werner call rebuilt an operator or a state")
+        raise AssertionError("a warm Werner call rebuilt an operator or a state")
 
-    for module, name in [(experiments, "_lift"), (experiments, "_real_terms"),
-                         (experiments, "_live_layout"), (experiments, "werner_initial"),
-                         (dynamics, "_real_generator"), (dynamics, "_real_terms")]:
+    for module, name in [(experiments, "build_basis"), (experiments, "_ladder"),
+                         (experiments, "_real_terms"), (experiments, "_live_layout"),
+                         (experiments, "werner_initial"), (experiments, "ideal_target"),
+                         (hamiltonians, "_lift"), (dynamics, "_real_generator"),
+                         (dynamics, "_real_terms")]:
         monkeypatch.setattr(module, name, refuse)
-    res = sweep_werner(spec, p_grid=[0.2, 0.9], thetas_pi=(0.0, 0.3))
-    for name, column in expected.columns.items():
-        np.testing.assert_array_equal(res.columns[name], column)
+    for spec, cold in zip(specs, expected):
+        res = sweep_werner(spec, p_grid=[0.2, 0.9], thetas_pi=(0.0, 0.3))
+        for name, column in cold.columns.items():
+            np.testing.assert_array_equal(res.columns[name], column)
 
 
 def test_optimizer_invariants():
