@@ -54,7 +54,16 @@ largest difference, or the side it is missing from; manifests record
 paths and are skipped).  No default run of `all` has decay rates, so it
 does the same for one damped `werner --config` (per-mode rates 0.3, 0.1,
 0.5 and 0.8 MHz, bus first, from a temporary config) under
-"damped_werner_outputs".  "settings" records PYTHONDONTWRITEBYTECODE as the
+"damped_werner_outputs".  Under "imports" it keeps, per side, the
+cumulative `-X importtime` seconds of `import resonatorsim` in a fresh
+interpreter, timed once per seed in the CLI loop's alternating order, so a
+setup_s reading can be set against whether the change touched the import
+path at all.  Under "scaling" it keeps, per call of SCALING_CALLS and per
+n of SCALING_SIZES, each side's per-call medians from SCALING_ROUNDS child
+processes per side, alternating, each importing that side's package: the
+reference point's scenario prologue, one-photon block, release, phase
+table and CSV writing as n grows.  Neither section has a bound or a
+verdict.  "settings" records PYTHONDONTWRITEBYTECODE as the
 runs see it (null when unset): with it set, every run compiles the package
 from source, so the package's size shows in setup_s and the cold starts.
 Which direction is better is read from the change's BENCHMARK.json.  Exits
@@ -76,6 +85,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import timeit
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -108,6 +118,17 @@ DAMPED_CONFIG = {
     "resonators": [{"freq_ghz": 5.75, "g_mhz": 50.0, "kappa_mhz": k} for k in (0.1, 0.5, 0.8)],
     "gm_mhz": 0.0,
 }
+
+
+#: the calls of the "scaling" section, timed at every n of SCALING_SIZES on
+#: the reference point: experiments._homogeneous (spec check and chi),
+#: hamiltonians.one_photon_hamiltonian, experiments._released of one spec,
+#: dynamics._phase_product onto the default grid and experiments.write_result
+#: of the default population result
+SCALING_CALLS = ("_homogeneous", "one_photon_hamiltonian", "_released", "_phase_product",
+                 "write_result")
+SCALING_SIZES = (3, 4, 8, 12, 24)
+SCALING_ROUNDS = 3
 
 
 def main(argv=None) -> int:
@@ -153,8 +174,13 @@ def main(argv=None) -> int:
     cli_keys = [*CLI_COMMANDS, *map(_minflt_key, CLI_COMMANDS)]
     cli = {side: {key: [] for key in cli_keys} for side in SIDES}
     suite = {side: {"wall_s": [], "passed": [], "failed": []} for side in SIDES}
+    imports = {side: [] for side in SIDES}
     for i in range(len(seeds)):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            seconds_to_import = _import_time(dirs[side])
+            if seconds_to_import is None:
+                return 1
+            imports[side].append(seconds_to_import)
             for name, argv in CLI_COMMANDS.items():
                 run = _time_cli(dirs[side], argv)
                 if run is None:
@@ -171,6 +197,13 @@ def main(argv=None) -> int:
             for name in CLI_COMMANDS) + ", suite " + " / ".join(
             f"{suite[side]['wall_s'][-1]:.2f} s ({suite[side]['passed'][-1]} passed, "
             f"{suite[side]['failed'][-1]} failed)" for side in SIDES), flush=True)
+    scaling = {side: [] for side in SIDES}
+    for i in range(SCALING_ROUNDS):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            times = _time_scaling(dirs[side])
+            if times is None:
+                return 1
+            scaling[side].append(times)
     outputs = _output_runs(dirs)
     if outputs is None:
         return 1
@@ -195,6 +228,8 @@ def main(argv=None) -> int:
                      for key in ("passed", "failed")}},
         "call_s": {w: {side: {call: _quartiles(v) for call, v in call_s[w][side].items()}
                        for side in SIDES} for w in workloads},
+        "imports": _imports_record(imports),
+        "scaling": _scaling_record(scaling),
         "src_lines": {side: _src_lines(dirs[side]) for side in SIDES},
         "src_sha256": {side: _src_sha256(dirs[side]) for side in SIDES},
         **outputs,
@@ -206,6 +241,13 @@ def main(argv=None) -> int:
         for m, row in rows.items():
             print(f"{group} {m}: {row['parent']['median']:.4g} -> {row['change']['median']:.4g} "
                   f"({row['median_change']:+.1%}), change better in {row['wins']}/{row['pairs']}")
+    row = summary["imports"]["resonatorsim_s"]
+    print(f"import resonatorsim: {row['parent']['median']:.4f} -> "
+          f"{row['change']['median']:.4f} s")
+    for call, rows in summary["scaling"].items():
+        print(f"scaling {call}: " + ", ".join(
+            f"n={n} {row['parent']['median'] * 1e6:.1f} -> {row['change']['median'] * 1e6:.1f} us"
+            for n, row in rows.items()))
     print("src lines: " + " -> ".join(str(summary["src_lines"][side]["total"])
                                       for side in SIDES))
     for key, verdicts in outputs.items():
@@ -292,6 +334,85 @@ def _time_suite(checkout: Path):
               f"{(done.stdout + done.stderr)[-2000:]}", file=sys.stderr)
         return None
     return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
+
+
+def _import_time(checkout: Path):
+    """Cumulative seconds of `import resonatorsim` from the checkout's src/
+    in a fresh interpreter, read off `-X importtime`, or None when it fails."""
+    cmd = [sys.executable, "-X", "importtime", "-c", "import resonatorsim"]
+    with tempfile.TemporaryDirectory() as workdir:
+        done = subprocess.run(cmd, cwd=workdir, env=_src_env(checkout), capture_output=True,
+                              text=True, timeout=120)
+    # "import time: self [us] | cumulative | package", nested packages indented
+    for line in done.stderr.splitlines():
+        fields = line.split("|")
+        if len(fields) == 3 and fields[2].strip() == "resonatorsim" and done.returncode == 0:
+            return int(fields[1]) / 1.0e6
+    print(f"error: {' '.join(cmd)} from {checkout} exited {done.returncode}:\n"
+          f"{done.stderr[-2000:]}", file=sys.stderr)
+    return None
+
+
+def _imports_record(imports: dict) -> dict:
+    """The "imports" section: both sides' import seconds, with no verdict."""
+    return {"resonatorsim_s": _compare(imports["parent"], imports["change"], "lower")}
+
+
+def _scaling_times(sizes=SCALING_SIZES, repeats: int = 5, budget: float = 0.02) -> dict:
+    """Median seconds per call of each of SCALING_CALLS at each n of sizes,
+    keyed by call and str(n), from `repeats` runs of about `budget` seconds
+    each.  Runs in a child process whose resonatorsim is one side's."""
+    import numpy as np
+    from resonatorsim import dynamics, experiments, hamiltonians
+
+    out: dict = {call: {} for call in SCALING_CALLS}
+    with tempfile.TemporaryDirectory() as workdir:
+        for n in sizes:
+            spec = experiments.reference_spec(n)
+            evals, weights = experiments._released([spec])
+            points = experiments.DEFAULT_POINTS
+            table = np.empty((n, *dynamics._sqrt_split(points)), dtype=complex)
+            result = experiments.scenario_population(n, spec)
+            csv = Path(workdir) / f"population_n{n}.csv"
+            calls = {
+                "_homogeneous": lambda: experiments._homogeneous(spec, n),
+                "one_photon_hamiltonian":
+                    lambda: hamiltonians.one_photon_hamiltonian(spec, spec.omegas[0]),
+                "_released": lambda: experiments._released([spec]),
+                "_phase_product":
+                    lambda: dynamics._phase_product(evals[0], weights[0, 1:], 1.0e-3, table),
+                "write_result": lambda: experiments.write_result(result, csv),
+            }
+            for call in SCALING_CALLS:
+                timer = timeit.Timer(calls[call])
+                number = max(1, int(budget / max(timer.timeit(1), 1.0e-9)))
+                runs = timer.repeat(repeats, number)
+                out[call][str(n)] = statistics.median(runs) / number
+    return out
+
+
+def _time_scaling(checkout: Path):
+    """_scaling_times in a fresh interpreter that imports the checkout's
+    src/, or None when it fails."""
+    code = ("import json, runpy, sys; "
+            "print(json.dumps(runpy.run_path(sys.argv[1])['_scaling_times']()))")
+    cmd = [sys.executable, "-c", code, str(Path(__file__).resolve())]
+    done = subprocess.run(cmd, cwd=checkout, env=_src_env(checkout), capture_output=True,
+                          text=True, timeout=600)
+    if done.returncode != 0:
+        print(f"error: the scaling timings from {checkout} exited {done.returncode}:\n"
+              f"{done.stderr[-2000:]}", file=sys.stderr)
+        return None
+    return json.loads(done.stdout)
+
+
+def _scaling_record(scaling: dict) -> dict:
+    """The "scaling" section: per call and n, both sides' per-call medians
+    over their rounds, with no verdict."""
+    return {call: {n: _compare([run[call][n] for run in scaling["parent"]],
+                               [run[call][n] for run in scaling["change"]], "lower")
+                   for n in scaling["parent"][0][call]}
+            for call in SCALING_CALLS}
 
 
 def _output_runs(dirs: dict):

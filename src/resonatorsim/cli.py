@@ -41,7 +41,7 @@ from .experiments import (
     write_result,
 )
 from .hamiltonians import verify_sw_identities
-from .model import derive_dispersive, load_spec
+from .model import DISPERSIVE_WARN_RATIO, _chi_homogeneous, dispersive_validity, load_spec
 
 #: residual bounds that sw-verify enforces for exit status
 SW_R1_BOUND = 1.0e-10
@@ -177,7 +177,7 @@ def _default(scenario, param: str, sep: str = ",") -> str:
 def _cmd_evolve(args) -> int:
     spec = _load_or_reference(args, 3)
     if args.t_max_us is not None:
-        chi = derive_dispersive(spec).chi_homogeneous
+        chi = _chi_homogeneous(spec)
         chi_t_max = args.t_max_us * chi / np.pi
     else:
         chi_t_max = args.chi_t_max if args.chi_t_max is not None else DEFAULT_CHI_T_MAX_OVER_PI
@@ -188,6 +188,7 @@ def _cmd_evolve(args) -> int:
         points=args.points,
     )
     _emit(args, res, f"population_n{spec.n}.csv")
+    _warn_out_of_regime(spec)
     return 0
 
 
@@ -221,6 +222,7 @@ def _cmd_fidelity(args) -> int:
     for k, col in zip(kappas, cols):
         i = int(np.argmax(col))
         print(f"kappa {k:g} MHz: peak fidelity {col[i]:.4f} at chi*t/pi = {x[i]:.3f}")
+    _warn_out_of_regime(spec)
     return 0
 
 
@@ -233,6 +235,7 @@ def _cmd_optimize_g1(args) -> int:
     times = ", ".join(f"{t:.4f}" for t in result.chi_t_over_pi_equal)
     print(f"g1* = {result.g1_mhz:.3f} MHz (objective {result.objective:.3e})")
     print(f"near-equal times chi*t/pi: {times}")
+    _warn_out_of_regime(spec)
     return 0
 
 
@@ -245,6 +248,7 @@ def _cmd_gm_sweep(args) -> int:
     _, _, *cols = res.columns.values()
     for k, col in zip(kappas, cols):
         print(f"kappa {k:g} MHz: fidelity {col[0]:.4f} -> {col[-1]:.4f} over ratios")
+    _warn_out_of_regime(spec)
     return 0
 
 
@@ -257,6 +261,7 @@ def _cmd_werner(args) -> int:
     _, *cols = res.columns.values()
     for th, col in zip(thetas, cols):
         print(f"theta = {th:g} pi: fidelity spans [{col.min():.4f}, {col.max():.4f}]")
+    _warn_out_of_regime(spec)
     return 0
 
 
@@ -270,6 +275,7 @@ def _cmd_map_g2(args) -> int:
     # the flat argmax is row-major, so a tie goes to the first column
     b, i = np.unravel_index(np.argmax(cols), (len(cols), len(x)))
     print(f"map maximum {cols[b][i]:.4f} in column {names[b]} at chi*t/pi = {x[i]:.3f}")
+    _warn_out_of_regime(spec)
     return 0
 
 
@@ -294,6 +300,7 @@ def _cmd_sw_verify(args) -> int:
         if isinstance(val, float):
             print(f"{key} = {val:.3e}")
     print(f"sw_verify: {'PASS' if passed else 'FAIL'} -> {out}")
+    _warn_out_of_regime(spec)
     return 0 if passed else 1
 
 
@@ -332,6 +339,18 @@ def _load_or_reference(args, default_n: int):
     if n is not None and spec.n != n:
         raise ValueError(f"config {args.config} has {spec.n} resonators but the command needs {n}")
     return spec
+
+
+def _warn_out_of_regime(spec) -> None:
+    """One stderr line per resonator whose g/|Delta| dispersive_validity
+    flags.  A command calls it after its run, so that a refusal comes first
+    and alone; it prints rather than warnings.warn, which -W error would
+    turn into a failure of the run."""
+    for j, (ratio, flag) in enumerate(dispersive_validity(spec)):
+        if flag == "warn":
+            print(f"warning: resonator {j + 1} g/|Delta| = {ratio:.3g} is above "
+                  f"{DISPERSIVE_WARN_RATIO:g}: the dispersive approximation may not hold",
+                  file=sys.stderr)
 
 
 def _emit(args, res: ScenarioResult, default_name: str) -> None:

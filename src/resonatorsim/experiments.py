@@ -10,6 +10,11 @@ where chi is the bus-mediated hopping rate of the last resonator pair of
 the base system; fixed-time quantities are evaluated at the first
 equal-population instant of the homogeneous n-resonator network, with the
 comparison state pinned there (shorter operation times suffer less decay).
+That instant and the W target there depend on n alone, so they are built
+once per n and per process (_pinned); nothing is kept per spec, and every
+call reads its chi and the homogeneity verdict off the Python floats of the
+model's overflow checks (model._chi_homogeneous), building no
+DispersiveModel.
 
 The single-photon scenarios and optimize_g1 propagate the photon's n + 1
 amplitudes (bus first) under the one-photon block of the ab initio
@@ -46,7 +51,7 @@ from .dynamics import _check_conserved, _expm, _live_layout, _phase_product
 from .dynamics import _real_terms, _sqrt_split
 from .fockspace import build_basis, single_photon_index
 from .hamiltonians import _ladder, one_photon_hamiltonian
-from .model import SystemSpec, ResonatorSpec, derive_dispersive, spec_to_dict
+from .model import SystemSpec, ResonatorSpec, _chi_homogeneous, derive_dispersive, spec_to_dict
 from .observables import (
     WernerParams,
     _one_photon_target,
@@ -185,11 +190,11 @@ def sweep_fidelity_vs_time(
     _require_rate(*kappas)
     names = _column_names("f_kappa_{:g}mhz", kappas, "kappas_mhz")
 
-    chi_t_star = first_crossing_chi_t(n)
+    chi_t_star, target = _pinned(n)
     grid = TimeGrid(0.0, np.pi * chi_t_max_over_pi / chi, points)
     x = np.linspace(0.0, chi_t_max_over_pi, points)
     traj = evolve_unitary(_one_photon_frame(spec), np.eye(n + 1)[1], grid)
-    fid = fidelity_pure_target(traj.states, _one_photon_target(n, chi_t_star))
+    fid = fidelity_pure_target(traj.states, target)
 
     columns: dict = {"chi_t_over_pi": x}
     for name, k in zip(names, kappas):
@@ -220,11 +225,11 @@ def sweep_fidelity_map_g2(
     names = _column_names("f_g2_{:g}", ratios, "g2_ratios")
     x = np.arange(0.05, 1.3001, 0.005)
     times = np.pi * x / chi
-    chi_t_star = first_crossing_chi_t(3)
+    chi_t_star, target = _pinned(3)
     g2_base = spec.resonators[1].g_mhz
     evals, weights = _released(_with_coupling(spec, 1, g2_base * r) for r in ratios)
     states = np.exp(-1j * times[:, None] * evals[:, None, :]) @ weights.swapaxes(-1, -2)
-    f_unitary = fidelity_pure_target(states, _one_photon_target(3, chi_t_star))
+    f_unitary = fidelity_pure_target(states, target)
     envelope = np.exp(-kappa_mhz * times)
     columns: dict = {"chi_t_over_pi": x}
     for name, col in zip(names, f_unitary):
@@ -258,11 +263,11 @@ def sweep_gm(
     names = _column_names("f_kappa_{:g}mhz", kappas, "kappas_mhz")
     gm_values = [0.0 if math.isinf(r) else g_mhz / r for r in ratios]
 
-    chi_t_star = first_crossing_chi_t(3)
+    chi_t_star, target = _pinned(3)
     t_star = chi_t_star / chi
     evals, weights = _released(replace(spec, gm_mhz=gm) for gm in gm_values)
     final = np.einsum("bjl,bl->bj", weights, np.exp(-1j * evals * t_star))
-    fid = fidelity_pure_target(final, _one_photon_target(3, chi_t_star))
+    fid = fidelity_pure_target(final, target)
 
     columns: dict = {
         "g_over_gm": np.array(ratios),
@@ -306,7 +311,8 @@ def sweep_werner(
     names = _column_names("f_theta_{:g}pi", thetas, "thetas_pi")
 
     werner = _werner()
-    t_star = werner.chi_t_star / chi
+    chi_t_star = _pinned(3)[0]
+    t_star = chi_t_star / chi
     block = _one_photon_frame(spec)
     for p in ps:  # WernerParams holds the rule on a mixture weight
         WernerParams(float(p), 0.0)
@@ -328,7 +334,7 @@ def sweep_werner(
         columns[name] = row
     meta = _base_metadata("werner_sweep", spec, chi)
     meta["thetas_pi"] = thetas
-    meta["chi_t_star_over_pi"] = werner.chi_t_star / np.pi
+    meta["chi_t_star_over_pi"] = chi_t_star / np.pi
     meta["operation_time_us"] = t_star
     return ScenarioResult(meta["name"], columns, meta)
 
@@ -338,8 +344,7 @@ class _Werner:
     """The Werner sweep's Liouvillian as a linear map of 20 real
     parameters, and what reads its states, in the real coordinates of the
     live layout (dynamics._live_layout) of the diagonal photon-number
-    blocks, of which there are size; chi_t_star is the first
-    equal-population phase chi t*.
+    blocks, of which there are size.
 
     For a Hermitian one-photon block B and mode rates kappa, the real
     generator (dynamics._real_generator) of the drift -i lift(B) - sum_k
@@ -350,9 +355,8 @@ class _Werner:
     i sin(theta)|010> has the coordinates (cos^2, sin^2, cos sin) @
     pure_parts, the mixture M has mixture, and fidelity_weights and
     trace_weights read <target|rho|target> and tr rho off them, the
-    target being the W state at chi t*."""
+    target being the W state at chi t* (_pinned)."""
 
-    chi_t_star: float
     real_entries: np.ndarray
     imag_entries: np.ndarray
     size: int
@@ -387,8 +391,7 @@ def _werner() -> _Werner:
     basis = build_basis(4, cutoff=1, excitation_cap=3)
     ops = _ladder(basis)
     mixture = werner_initial(WernerParams(0.0, 0.0), basis)
-    chi_t_star = first_crossing_chi_t(3)
-    target = ideal_target(3, chi_t_star, basis)
+    target = ideal_target(3, _pinned(3)[0], basis)
     modes = basis.modes
     # the drifts that Re B[k, l] (k <= l) and Im B[k, l] (k < l) weight:
     # -i (a_k^dag a_l + a_l^dag a_k) and a_k^dag a_l - a_l^dag a_k, the
@@ -417,11 +420,24 @@ def _werner() -> _Werner:
     projector = np.outer(target, target.conj())
     fidelity_weights = 2.0 * live.coords(projector) - live.coords(np.diag(np.diag(projector)))
     return _read_only(_Werner(
-        chi_t_star, rows * modes + cols, (rows * modes + cols)[strict],
+        rows * modes + cols, (rows * modes + cols)[strict],
         live.size, *_real_terms(drifts, rates, live),
         live.coords(parts), live.coords(mixture),
         fidelity_weights, live.coords(np.eye(basis.dim)),
     ))
+
+
+@functools.cache
+def _pinned(n: int) -> tuple[float, np.ndarray]:
+    """The first equal-population phase chi t* of the homogeneous n-resonator
+    network (first_crossing_chi_t) and the W target pinned there in the
+    layout of the one-photon block (_one_photon_target), built on first use
+    once per n and per process; the target is read-only, since every call
+    shares it.  They depend on n alone: nothing is kept per spec."""
+    chi_t_star = first_crossing_chi_t(n)
+    target = _one_photon_target(n, chi_t_star)
+    target.flags.writeable = False
+    return chi_t_star, target
 
 
 def _read_only(cached):
@@ -610,7 +626,7 @@ def _homogeneous(spec: SystemSpec | None, n: int) -> tuple[SystemSpec, float]:
     n identical resonators and couplings, and its common hopping rate chi."""
     spec = spec if spec is not None else reference_spec(n)
     _require_n(spec, n)
-    return spec, derive_dispersive(spec).chi_homogeneous
+    return spec, _chi_homogeneous(spec)
 
 
 def _one_photon_frame(spec: SystemSpec) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import _expm
 from .fockspace import FockBasis, annihilation, total_number
-from .model import SystemSpec, _detunings, derive_dispersive
+from .model import SystemSpec, _dispersive_terms, derive_dispersive
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +160,7 @@ def _sw_block(spec: SystemSpec) -> np.ndarray:
     """One-photon block of S: lambda_j = g_j/Delta_j at (0, j), -lambda_j at
     (j, 0).  Requires every detuning nonzero."""
     s = np.zeros((spec.n + 1, spec.n + 1), dtype=complex)
-    lam = spec.couplings / _detunings(spec, "generator")
+    lam = spec.couplings / np.array(_dispersive_terms(spec, "generator")[0])
     s[0, 1:], s[1:, 0] = lam, -lam
     return s
 

@@ -142,22 +142,21 @@ class DispersiveModel:
 
     def is_resonant(self) -> bool:
         """True when all Lamb-shifted splittings are within 1e-9 rad/us of 0."""
-        return bool(np.all(np.abs(self.delta_ij) <= 1.0e-9))
+        return _resonant(self.lamb_shifted_omega.tolist())
 
     def is_homogeneous(self) -> bool:
         """True when the model is resonant and all pairwise chi agree to
         1e-12 of max(1, |chi_12|)."""
-        off = self.chi[~np.eye(self.n, dtype=bool)]
-        return self.is_resonant() and bool(
-            np.all(np.abs(off - off[0]) <= 1.0e-12 * max(1.0, abs(off[0])))
-        )
+        return _homogeneous(self.lamb_shifted_omega.tolist(), self._off_diagonal_chi())
 
     @property
     def chi_homogeneous(self) -> float:
         """The common chi of a homogeneous model."""
-        if not self.is_homogeneous():
-            raise ValueError("resonators are not identical: their frequencies or couplings differ")
-        return float(self.chi[0, 1])
+        return _common_chi(self.lamb_shifted_omega.tolist(), self._off_diagonal_chi())
+
+    def _off_diagonal_chi(self) -> list[float]:
+        """The entries of chi off its diagonal, row by row: chi_12 first."""
+        return self.chi[~np.eye(self.n, dtype=bool)].tolist()
 
 
 def derive_dispersive(spec: SystemSpec) -> DispersiveModel:
@@ -165,40 +164,76 @@ def derive_dispersive(spec: SystemSpec) -> DispersiveModel:
 
     chi_ij = (g_i g_j / 2)(1/Delta_i + 1/Delta_j); Lamb-shifted frequencies
     omega'_j = omega_j + g_j^2/Delta_j and Omega_0' = Omega_0 - sum g_j^2/Delta_j.
-    Requires every detuning nonzero.
+    Requires every detuning nonzero.  The terms are _dispersive_terms'.
     """
-    delta = _detunings(spec, "dispersive model")
-    g = spec.couplings
-    shift = g**2 / delta
+    d, shifts, chis = _dispersive_terms(spec, "dispersive model")
+    delta, shift = np.array(d), np.array(shifts)
     omega_p = spec.omegas + shift
     bus_p = spec.bus_omega - float(np.sum(shift))
-    inv = 1.0 / delta
-    chi = 0.5 * np.outer(g, g) * (inv[:, None] + inv[None, :])
-    np.fill_diagonal(chi, 0.0)
+    chi = np.zeros((spec.n, spec.n))
+    # the strict lower triangle runs row by row, as the pairs i < j of
+    # _dispersive_terms run by j, then i
+    rows, cols = np.tril_indices(spec.n, -1)
+    chi[rows, cols] = chi[cols, rows] = chis
     delta_ij = omega_p[:, None] - omega_p[None, :]
     for arr in (delta, omega_p, chi, delta_ij):
         arr.setflags(write=False)
     return DispersiveModel(delta, omega_p, bus_p, chi, delta_ij)
 
 
+def _chi_homogeneous(spec: SystemSpec) -> float:
+    """derive_dispersive(spec).chi_homogeneous, bitwise, with the same
+    refusals, read off the Python floats of _dispersive_terms without
+    building the model's arrays."""
+    _, shifts, chis = _dispersive_terms(spec, "dispersive model")
+    return _common_chi([r.omega + s for r, s in zip(spec.resonators, shifts)], chis)
+
+
 def dispersive_validity(spec: SystemSpec) -> list[tuple[float, str]]:
     """Per-resonator ratios g_j/|Delta_j| with a pass/warn flag each."""
     out = []
-    for g, d in zip(spec.couplings, _detunings(spec, "validity ratio")):
-        ratio = float(g / abs(d))
+    for r, d in zip(spec.resonators, _dispersive_terms(spec, "validity ratio")[0]):
+        ratio = r.g / abs(d)
         out.append((ratio, "warn" if ratio > DISPERSIVE_WARN_RATIO else "pass"))
     return out
 
 
-def _detunings(spec: SystemSpec, what: str) -> np.ndarray:
-    """spec.detunings, refusing a resonator at the bus frequency, where what
-    (a quantity with 1/Delta in it) is undefined, and couplings whose terms
-    overflow: a Lamb shift g^2/Delta, a chi term (g_i g_j / 2)(1/Delta_i +
-    1/Delta_j), or the shifts' sum, which bounds the bus shift and the
-    Lamb-shifted splittings."""
-    delta = spec.detunings
-    g, d = spec.couplings.tolist(), delta.tolist()
-    # Python floats overflow to inf without a numpy warning
+def _resonant(shifted_omegas: list[float]) -> bool:
+    # rounding is monotone, so of finite values the largest splitting is
+    # max - min
+    return max(shifted_omegas) - min(shifted_omegas) <= 1.0e-9
+
+
+def _homogeneous(shifted_omegas: list[float], chis: list[float]) -> bool:
+    """The homogeneity rule on the Lamb-shifted frequencies and the pairwise
+    chi (chi_12 first): every splitting within 1e-9 rad/us of 0 and every
+    chi within 1e-12 max(1, |chi_12|) of chi_12, the farthest of which, for
+    finite values, is the largest or the smallest."""
+    chi = chis[0]
+    tol = 1.0e-12 * max(1.0, abs(chi))
+    return _resonant(shifted_omegas) and max(chis) - chi <= tol and chi - min(chis) <= tol
+
+
+def _common_chi(shifted_omegas: list[float], chis: list[float]) -> float:
+    """chi_12 = chis[0] of a homogeneous model, refused otherwise."""
+    if not _homogeneous(shifted_omegas, chis):
+        raise ValueError("resonators are not identical: their frequencies or couplings differ")
+    return chis[0]
+
+
+def _dispersive_terms(spec: SystemSpec, what: str) -> tuple[list, list, list]:
+    """The detunings Delta_j, the Lamb shifts g_j^2/Delta_j and the chi
+    terms (g_i g_j / 2)(1/Delta_i + 1/Delta_j) of the pairs i < j, by j and
+    then i, as Python floats, which overflow to inf without a numpy
+    warning.  Refuses a resonator at the bus frequency, where what (a
+    quantity with 1/Delta in it) is undefined, and couplings whose terms
+    overflow: a Lamb shift, a chi term, or the shifts' sum, which bounds
+    the bus shift and the Lamb-shifted splittings."""
+    bus = spec.bus_omega
+    omegas = [r.omega for r in spec.resonators]
+    g = [r.g for r in spec.resonators]
+    d = [bus - w for w in omegas]
+    shifts = []
     lamb = 0.0
     for j, r in enumerate(spec.resonators):
         if d[j] == 0.0:
@@ -210,20 +245,23 @@ def _detunings(spec: SystemSpec, what: str) -> np.ndarray:
             raise ValueError(
                 f"resonator {j + 1} 'g_mhz' is too large: g^2/Delta overflows, {what} undefined"
             )
+        shifts.append(shift)
         lamb += abs(shift)
-    for j in range(spec.n):
-        for i in range(j):
-            if not math.isfinite(0.5 * (g[i] * g[j]) * (1.0 / d[i] + 1.0 / d[j])):
-                raise ValueError(
-                    f"resonators {i + 1} and {j + 1} 'g_mhz' are too large: "
-                    f"chi term g_i g_j/Delta overflows, {what} undefined"
-                )
-    if not math.isfinite(max(spec.bus_omega, float(spec.omegas.max())) + lamb):
+    inv = [1.0 / dj for dj in d]
+    chis = [0.5 * (g[i] * g[j]) * (inv[i] + inv[j]) for j in range(spec.n) for i in range(j)]
+    if not all(map(math.isfinite, chis)):
+        pairs = [(i, j) for j in range(spec.n) for i in range(j)]
+        i, j = next(pair for pair, chi in zip(pairs, chis) if not math.isfinite(chi))
+        raise ValueError(
+            f"resonators {i + 1} and {j + 1} 'g_mhz' are too large: "
+            f"chi term g_i g_j/Delta overflows, {what} undefined"
+        )
+    if not math.isfinite(max(bus, max(omegas)) + lamb):
         raise ValueError(
             f"resonators' 'g_mhz' are too large: the Lamb shifts g^2/Delta sum past "
             f"the float range, {what} undefined"
         )
-    return delta
+    return d, shifts, chis
 
 
 def lifetime_from_q(q_factor: float, freq_ghz: float) -> float:

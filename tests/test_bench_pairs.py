@@ -147,3 +147,31 @@ def test_cli_timings_include_the_damped_werner_cold_start():
     assert bench_pairs._minflt_key("werner_damped_s") == "werner_damped_minflt"
     wall, faults = bench_pairs._time_cli(SCRIPT.parents[1], argv)
     assert wall > 0.0 and faults > 0
+
+
+def test_scaling_section_holds_every_call_at_every_size():
+    # one quick in-process timing stands in for each side's rounds; the
+    # section keeps, per call and n, both sides' medians and no verdict
+    bench_pairs = _load_script()
+    assert bench_pairs.SCALING_SIZES == (3, 4, 8, 12, 24)
+    times = bench_pairs._scaling_times(sizes=(3, 24), repeats=1, budget=0.0)
+    assert list(times) == list(bench_pairs.SCALING_CALLS)
+    record = bench_pairs._scaling_record({"parent": [times], "change": [times, times]})
+    assert set(record) == {"_homogeneous", "one_photon_hamiltonian", "_released",
+                           "_phase_product", "write_result"}
+    for call, rows in record.items():
+        assert list(rows) == ["3", "24"]
+        for row in rows.values():
+            assert row["parent"]["median"] > 0.0 and row["change"]["median"] > 0.0
+            assert (row["bound"], row["over_bound"], row["unresolved"]) == (None, None, None)
+
+
+def test_imports_record_times_a_cold_import_of_the_package():
+    bench_pairs = _load_script()
+    seconds = bench_pairs._import_time(SCRIPT.parents[1])
+    assert 0.0 < seconds < 60.0
+    record = bench_pairs._imports_record({"parent": [seconds], "change": [seconds]})
+    assert list(record) == ["resonatorsim_s"]
+    row = record["resonatorsim_s"]
+    assert row["parent"]["median"] == row["change"]["median"] == seconds
+    assert (row["bound"], row["over_bound"], row["unresolved"]) == (None, None, None)

@@ -276,6 +276,36 @@ def test_overflowing_config_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_out_of_regime_config_warns_after_the_run(tmp_path, capsys):
+    # g/|Delta| of about 1e97 is run (the one-photon block is exact at any
+    # ratio) and reported once per resonator on stderr, after the run: exit
+    # code, files and stdout are those of an unflagged run
+    data = spec_to_dict(reference_spec(3))
+    for resonator in data["resonators"]:
+        resonator["g_mhz"] = 1.0e100
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(cfg), "--points", "5", "--out", "e.csv"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "population_n3: 5 rows -> e.csv\n"
+    assert err.splitlines() == [
+        f"warning: resonator {j} g/|Delta| = 1e+97 is above 0.1: "
+        "the dispersive approximation may not hold" for j in (1, 2, 3)
+    ]
+    # a refusal comes first and alone
+    data["bus"]["kappa_mhz"] = 0.5
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["evolve", "--config", str(cfg), "--points", "5", "--out", "e.csv"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the spec's decay rates")
+    # the reference point, g/|Delta| = 0.05, draws no warning
+    cfg.write_text(json.dumps(spec_to_dict(reference_spec(3))), encoding="utf-8")
+    assert main(["fidelity", "--config", str(cfg), "--points", "5", "--out", "f.csv"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_overflowing_lamb_shift_sum_exit_2(tmp_path, capsys):
     # each resonator's g^2/Delta is finite, their sum (the bus shift) is not
     data = spec_to_dict(reference_spec(3))

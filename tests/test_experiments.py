@@ -24,6 +24,7 @@ from resonatorsim import (
     evolve_lindblad,
     evolve_unitary,
     fidelity_dm,
+    find_w_crossings,
     first_crossing_chi_t,
     ideal_target,
     optimize_g1,
@@ -43,6 +44,7 @@ from resonatorsim import (
 from resonatorsim import dynamics, experiments, hamiltonians, verify_sw_identities
 from resonatorsim.dynamics import _expm, _live_layout, _real_generator
 from resonatorsim.experiments import _distinct_minima, _with_coupling
+from resonatorsim.observables import _one_photon_target
 
 from kron_liouvillian import kron_generator
 
@@ -193,6 +195,81 @@ def test_map_factorization_matches_master_equation():
     # an empty ratio axis is refused before any array is computed from it
     with pytest.raises(ValueError, match="g2_ratios is empty"):
         sweep_fidelity_map_g2(g2_ratios=[])
+
+
+def test_warm_scenarios_find_no_crossing(monkeypatch):
+    # t* and the W target depend on n alone and are built once per n and
+    # per process: a warm call finds no root, while first_crossing_chi_t
+    # itself stays uncached (so the patch below is live)
+    runs = [
+        lambda: sweep_fidelity_vs_time(3, points=5),
+        lambda: sweep_fidelity_vs_time(4, points=5),
+        lambda: sweep_gm(ratios=(math.inf, 10.0)),
+        lambda: sweep_fidelity_map_g2(g2_ratios=[0.8, 1.0]),
+    ]
+    for run in runs:
+        run()
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return find_w_crossings(*args)
+
+    monkeypatch.setattr(experiments, "find_w_crossings", counting)
+    for run in runs:
+        run()
+    assert calls == []
+    first_crossing_chi_t(3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pinned_constants_are_read_only_and_bitwise_equal(n):
+    chi_t_star, target = experiments._pinned(n)
+    assert chi_t_star == first_crossing_chi_t(n)
+    assert target.tobytes() == _one_photon_target(n, first_crossing_chi_t(n)).tobytes()
+    assert not target.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        target[1] = 0.0
+    assert experiments._pinned(n)[1] is target
+
+
+def _edge(n=3, freq_ghz=5.75, g_mhz=50.0, first=None):
+    """n resonators of the reference point, the first one changed by first."""
+    resonators = [ResonatorSpec(freq_ghz, g_mhz)] * n
+    if first is not None:
+        resonators[0] = first
+    return SystemSpec(6.75, 0.0, tuple(resonators))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _edge(),
+        _edge(24),
+        _edge(first=ResonatorSpec(5.75 + 1.0e-13, 50.0)),
+        _edge(first=ResonatorSpec(5.75 + 1.0e-6, 50.0)),
+        _edge(first=ResonatorSpec(5.75, 50.0 * (1.0 + 1.0e-14))),
+        _edge(first=ResonatorSpec(5.75, 50.0 * (1.0 + 1.0e-9))),
+        _edge(2, first=ResonatorSpec(5.75, 40.0)),
+        _edge(first=ResonatorSpec(6.75, 50.0)),
+        _edge(g_mhz=1.0e160),
+    ],
+    ids=["reference", "n24", "freq_1e-13", "freq_1e-6", "g_rel_1e-14", "g_rel_1e-9",
+         "n2_unequal_g", "at_bus", "g_1e160"],
+)
+def test_homogeneous_chi_matches_the_dispersive_model(spec):
+    # the scenarios read chi off the Python floats of the overflow checks;
+    # at the edges of the homogeneity rule it is the model's chi bitwise,
+    # or the model's refusal word for word
+    try:
+        expected = derive_dispersive(spec).chi_homogeneous
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            experiments._homogeneous(spec, spec.n)
+    else:
+        _, chi = experiments._homogeneous(spec, spec.n)
+        assert type(chi) is float and chi.hex() == expected.hex()
 
 
 def test_single_photon_scenarios_build_no_fock_basis(monkeypatch):
