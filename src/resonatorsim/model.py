@@ -170,11 +170,12 @@ def derive_dispersive(spec: SystemSpec) -> DispersiveModel:
     delta, shift = np.array(d), np.array(shifts)
     omega_p = spec.omegas + shift
     bus_p = spec.bus_omega - float(np.sum(shift))
+    # a boolean mask fills in row-major order, so the strict lower triangle
+    # (j, i) and, through the transpose, the upper one (i, j) take the pairs
+    # i < j in the order of _dispersive_terms, by j and then i
+    lower, terms = np.tri(spec.n, k=-1, dtype=bool), np.array(chis)
     chi = np.zeros((spec.n, spec.n))
-    # the strict lower triangle runs row by row, as the pairs i < j of
-    # _dispersive_terms run by j, then i
-    rows, cols = np.tril_indices(spec.n, -1)
-    chi[rows, cols] = chi[cols, rows] = chis
+    chi[lower] = chi.T[lower] = terms
     delta_ij = omega_p[:, None] - omega_p[None, :]
     for arr in (delta, omega_p, chi, delta_ij):
         arr.setflags(write=False)

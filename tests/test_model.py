@@ -64,6 +64,15 @@ def test_chi_matrix_symmetric_zero_diagonal():
     gi, gj = spec.couplings[0], spec.couplings[1]
     expected = 0.5 * gi * gj * (1 / model.delta[0] + 1 / model.delta[1])
     assert model.chi[0, 1] == pytest.approx(expected, rel=1.0e-12)
+    # the matrix is filled from the Python-float terms of the overflow
+    # checks; entry for entry it is the vectorized formula, bitwise, also
+    # with resonators on both sides of the bus
+    spec = SystemSpec(6.75, 0.0, tuple(ResonatorSpec(f, g) for f, g in
+                                       [(5.75, 40.0), (7.2, 50.0), (5.9, 0.0), (6.1, 61.3)]))
+    g, inv = spec.couplings, 1.0 / spec.detunings
+    vectorized = 0.5 * np.outer(g, g) * (inv[:, None] + inv[None, :])
+    np.fill_diagonal(vectorized, 0.0)
+    assert derive_dispersive(spec).chi.tobytes() == vectorized.tobytes()
 
 
 def test_lamb_shifts():
