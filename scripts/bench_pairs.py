@@ -370,8 +370,8 @@ def _scaling_times(sizes=SCALING_SIZES, repeats: int = 5, budget: float = 0.02) 
         for n in sizes:
             spec = experiments.reference_spec(n)
             evals, weights = experiments._released([spec])
-            points = experiments.DEFAULT_POINTS
-            table = np.empty((n, *dynamics._sqrt_split(points)), dtype=complex)
+            table = np.empty((n, *dynamics._sqrt_split(experiments.DEFAULT_POINTS)),
+                             dtype=complex)
             result = experiments.scenario_population(n, spec)
             csv = Path(workdir) / f"population_n{n}.csv"
             calls = {
